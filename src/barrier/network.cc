@@ -1,6 +1,7 @@
 #include "barrier/network.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 
@@ -492,6 +493,56 @@ BarrierNetwork::decodeState(snapshot::Decoder &d)
         return false;
     rebuildSets();
     return true;
+}
+
+std::string
+membershipViolation(const BarrierNetwork &net,
+                    const std::vector<int> &members,
+                    const std::vector<bool> &fenced, std::uint64_t now,
+                    BitVector &scratch)
+{
+    const auto n = static_cast<std::size_t>(net.numProcessors());
+    if (scratch.size() != n)
+        scratch = BitVector(n);
+    for (int m : members)
+        scratch.set(static_cast<std::size_t>(m));
+
+    // The lowest live, same-tag, same-epoch mask bit of @p m outside
+    // the group, or -1. Only mask bits outside the group can violate.
+    auto firstOutsider = [&](int m) {
+        const BarrierUnit &u = net.unit(m);
+        const BitVector &mask = u.mask();
+        for (std::size_t w = 0; w < mask.wordCount(); ++w) {
+            for (std::uint64_t outside = mask.word(w) & ~scratch.word(w);
+                 outside != 0; outside &= outside - 1) {
+                const std::size_t q =
+                    w * 64 + static_cast<std::size_t>(
+                                 std::countr_zero(outside));
+                if (fenced[q])
+                    continue;  // legitimately excluded by recovery
+                const BarrierUnit &other = net.unit(static_cast<int>(q));
+                if (other.tag() == u.tag() && other.epoch() == u.epoch())
+                    return static_cast<int>(q);
+            }
+        }
+        return -1;
+    };
+
+    std::string violation;
+    for (int m : members) {
+        const int q = firstOutsider(m);
+        if (q < 0)
+            continue;
+        const BarrierUnit &u = net.unit(m);
+        std::ostringstream oss;
+        oss << "fault-safety violation at cycle " << now << ": cpu" << m
+            << " synchronized on tag " << u.tag() << " epoch "
+            << u.epoch() << " without live member cpu" << q;
+        violation = oss.str();
+        break;
+    }
+    scratch.clearAll();
+    return violation;
 }
 
 } // namespace fb::barrier

@@ -265,6 +265,24 @@ class BarrierNetwork : public UnitEventListener
     const ReadyPulseFilter *_filter = nullptr;
 };
 
+/**
+ * Fault-safety (membership) oracle for one delivered group: every
+ * live (not @p fenced), same-tag, same-epoch processor in a member's
+ * mask must itself be one of @p members. Returns a description of the
+ * first violation — members in the given order, each member's mask
+ * bits ascending — or empty.
+ *
+ * Cost is O(members x mask words + mask bits outside the group): the
+ * group is scattered into @p scratch once, and each mask word is
+ * reduced to mask & ~group before any per-bit test runs. @p scratch
+ * is caller-owned so the per-episode path does not allocate; it is
+ * resized to the network and left clear.
+ */
+std::string membershipViolation(const BarrierNetwork &net,
+                                const std::vector<int> &members,
+                                const std::vector<bool> &fenced,
+                                std::uint64_t now, BitVector &scratch);
+
 } // namespace fb::barrier
 
 #endif // FB_BARRIER_NETWORK_HH

@@ -21,22 +21,22 @@ BarrierUnit::setMask(std::uint64_t bits)
     // A 64-bit immediate can only name processors 0..63; in a larger
     // machine the word form addresses that prefix and clears the rest
     // (the wide all-processors form is setMaskAll()).
-    for (int p = 0; p < _numProcessors; ++p) {
-        bool value = p < 64 && (bits >> p & 1) != 0 && p != _self;
-        _mask.set(static_cast<std::size_t>(p), value);
-        _shadowMask.set(static_cast<std::size_t>(p), value);
+    _mask.clearAll();
+    for (int p = 0; p < _numProcessors && p < 64; ++p) {
+        if ((bits >> p & 1) != 0 && p != _self)
+            _mask.set(static_cast<std::size_t>(p));
     }
+    _shadowMask = _mask;
     ++_maskVersion;
 }
 
 void
 BarrierUnit::setMaskAll()
 {
-    for (int p = 0; p < _numProcessors; ++p) {
-        const bool value = p != _self;
-        _mask.set(static_cast<std::size_t>(p), value);
-        _shadowMask.set(static_cast<std::size_t>(p), value);
-    }
+    // O(words): every machine set-up runs this once per processor.
+    _mask.setAll();
+    _mask.clear(static_cast<std::size_t>(_self));
+    _shadowMask = _mask;
     ++_maskVersion;
 }
 
@@ -85,15 +85,8 @@ BarrierUnit::scrub()
         _tag = _shadowTag;
         ++corrected;
     }
-    bool mask_corrupt = false;
-    for (int p = 0; p < _numProcessors; ++p) {
-        auto idx = static_cast<std::size_t>(p);
-        if (_mask.test(idx) != _shadowMask.test(idx)) {
-            _mask.set(idx, _shadowMask.test(idx));
-            mask_corrupt = true;
-        }
-    }
-    if (mask_corrupt) {
+    if (!(_mask == _shadowMask)) {
+        _mask = _shadowMask;
         ++corrected;  // count the mask register once, not per bit
         ++_maskVersion;
     }

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace fb::isa
@@ -87,6 +88,23 @@ Program::finalize()
         }
     }
     _finalized = true;
+    _contentHash = hashCode();
+}
+
+std::uint64_t
+Program::hashCode() const
+{
+    Fnv1a h;
+    h.mix(_instrs.size());
+    for (const Instruction &instr : _instrs) {
+        h.mix(static_cast<std::uint64_t>(instr.op));
+        h.mix(static_cast<std::uint64_t>(instr.rd));
+        h.mix(static_cast<std::uint64_t>(instr.rs1));
+        h.mix(static_cast<std::uint64_t>(instr.rs2));
+        h.mix(static_cast<std::uint64_t>(instr.imm));
+        h.mix(instr.inRegion ? 1 : 0);
+    }
+    return h.value();
 }
 
 int

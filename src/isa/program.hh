@@ -89,12 +89,27 @@ class Program
         return _instrs[idx];
     }
 
-    /** Mutable access (used by the region-encoding converters). */
+    /** Mutable access (used by the region-encoding converters).
+     * Drops the cached content hash: the caller may change the code. */
     Instruction &at(std::size_t idx)
     {
         FB_ASSERT(idx < _instrs.size(),
                   "instruction index " << idx << " out of range");
+        _contentHash.reset();
         return _instrs[idx];
+    }
+
+    /**
+     * FNV-1a hash of the code: the size, then every instruction's
+     * opcode, operands, immediate and region bit (barrier ids and
+     * labels do not change what executes and are left out).
+     * finalize() computes and caches it, so the per-processor load
+     * path costs O(1); after the mutable at() drops the cache each
+     * call rehashes, since the code may have changed.
+     */
+    std::uint64_t contentHash() const
+    {
+        return _contentHash ? *_contentHash : hashCode();
     }
 
     /** Logical barrier id of instruction @p idx (-1 if none). */
@@ -144,6 +159,8 @@ class Program
     std::string toString() const;
 
   private:
+    std::uint64_t hashCode() const;
+
     struct Fixup
     {
         std::size_t instrIdx;
@@ -156,6 +173,8 @@ class Program
     std::vector<Fixup> _fixups;
     std::vector<std::string> _pendingLabels;
     bool _finalized = false;
+    /** contentHash() of the finalized code, until the mutable at(). */
+    std::optional<std::uint64_t> _contentHash;
 };
 
 } // namespace fb::isa

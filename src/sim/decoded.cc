@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "sim/processor.hh"
-#include "snapshot/format.hh"
 #include "support/logging.hh"
 
 namespace fb::sim
@@ -31,24 +30,44 @@ isPrivateOp(Opcode op)
     }
 }
 
-} // namespace
-
-std::uint64_t
-programHash(const isa::Program &program)
+/** Decode one instruction; the pc only labels a failed check. */
+DecodedInsn
+decodeInsn(const isa::Instruction &instr, std::size_t pc)
 {
-    snapshot::Fnv1a h;
-    h.mix(program.size());
-    for (std::size_t i = 0; i < program.size(); ++i) {
-        const isa::Instruction &instr = program.at(i);
-        h.mix(static_cast<std::uint64_t>(instr.op));
-        h.mix(static_cast<std::uint64_t>(instr.rd));
-        h.mix(static_cast<std::uint64_t>(instr.rs1));
-        h.mix(static_cast<std::uint64_t>(instr.rs2));
-        h.mix(static_cast<std::uint64_t>(instr.imm));
-        h.mix(instr.inRegion ? 1 : 0);
-    }
-    return h.value();
+    // Operand ranges are the decoded loop's licence to index the
+    // register file without per-access checks.
+    FB_ASSERT(instr.rd >= 0 && instr.rd < isa::numRegisters &&
+                  instr.rs1 >= 0 && instr.rs1 < isa::numRegisters &&
+                  instr.rs2 >= 0 && instr.rs2 < isa::numRegisters,
+              "register operand out of range at pc " << pc);
+    DecodedInsn d;
+    d.imm = instr.imm;
+    d.cost = static_cast<std::uint32_t>(isa::baseLatency(instr.op));
+    FB_ASSERT(d.cost >= 1, "zero base latency at pc " << pc);
+    d.op = instr.op;
+    d.rd = instr.rd;
+    d.rs1 = instr.rs1;
+    d.rs2 = instr.rs2;
+    d.privateOp = isPrivateOp(instr.op);
+    d.staticRegion = instr.inRegion || instr.op == Opcode::BRENTER;
+    d.bundleable = Processor::bundleable(instr);
+    return d;
 }
+
+/** True if @p decoded is exactly what decoding @p program yields. */
+bool
+decodesTo(const isa::Program &program, const DecodedProgram &decoded)
+{
+    if (decoded.code.size() != program.size())
+        return false;
+    for (std::size_t i = 0; i < program.size(); ++i) {
+        if (!(decodeInsn(program.at(i), i) == decoded.code[i]))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
 
 std::shared_ptr<const DecodedProgram>
 decodeProgram(const isa::Program &program)
@@ -63,54 +82,36 @@ decodeProgram(const isa::Program &program)
     // harnesses and the differ's direct-assembly variants), where
     // re-decoding was a measurable fraction of short runs. The table
     // is wholesale-cleared at a size cap so a long fuzz campaign over
-    // ever-fresh programs cannot grow it without bound. Trusting the
-    // hash for equality is the backend's existing contract:
-    // Machine::loadProgram validates caller-supplied blocks the same
-    // way.
+    // ever-fresh programs cannot grow it without bound. A hit is
+    // trusted only after its code compares equal to a fresh decode
+    // of @p program (outside the lock; it allocates nothing), so a
+    // 64-bit hash collision costs a re-decode, never the wrong code.
     static std::mutex memo_mu;
     static std::unordered_map<std::uint64_t,
                               std::shared_ptr<const DecodedProgram>>
         memo;
     constexpr std::size_t memoCap = 1024;
-    const std::uint64_t hash = programHash(program);
+    const std::uint64_t hash = program.contentHash();
+    std::shared_ptr<const DecodedProgram> cached;
     {
         std::lock_guard<std::mutex> lk(memo_mu);
-        if (auto it = memo.find(hash); it != memo.end() &&
-                                       it->second->code.size() ==
-                                           program.size())
-            return it->second;
+        if (auto it = memo.find(hash); it != memo.end())
+            cached = it->second;
     }
+    if (cached != nullptr && decodesTo(program, *cached))
+        return cached;
 
     auto decoded = std::make_shared<DecodedProgram>();
     decoded->code.reserve(program.size());
-    for (std::size_t i = 0; i < program.size(); ++i) {
-        const isa::Instruction &instr = program.at(i);
-        // Operand ranges are the decoded loop's licence to index the
-        // register file without per-access checks.
-        FB_ASSERT(instr.rd >= 0 && instr.rd < isa::numRegisters &&
-                      instr.rs1 >= 0 && instr.rs1 < isa::numRegisters &&
-                      instr.rs2 >= 0 && instr.rs2 < isa::numRegisters,
-                  "register operand out of range at pc " << i);
-        DecodedInsn d;
-        d.imm = instr.imm;
-        d.cost = static_cast<std::uint32_t>(isa::baseLatency(instr.op));
-        FB_ASSERT(d.cost >= 1, "zero base latency at pc " << i);
-        d.op = instr.op;
-        d.rd = instr.rd;
-        d.rs1 = instr.rs1;
-        d.rs2 = instr.rs2;
-        d.privateOp = isPrivateOp(instr.op);
-        d.staticRegion = instr.inRegion || instr.op == Opcode::BRENTER;
-        d.bundleable = Processor::bundleable(instr);
-        decoded->code.push_back(d);
-    }
+    for (std::size_t i = 0; i < program.size(); ++i)
+        decoded->code.push_back(decodeInsn(program.at(i), i));
     decoded->sourceHash = hash;
 
     {
         std::lock_guard<std::mutex> lk(memo_mu);
         if (memo.size() >= memoCap)
             memo.clear();
-        memo.emplace(hash, decoded);
+        memo.insert_or_assign(hash, decoded);
     }
     return decoded;
 }

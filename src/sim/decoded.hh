@@ -57,24 +57,19 @@ struct DecodedInsn
     bool staticRegion = false;
     /** May occupy a non-leading bundle slot (Processor::bundleable). */
     bool bundleable = false;
+
+    bool operator==(const DecodedInsn &) const = default;
 };
 
 /** A fully decoded, immutable program. */
 struct DecodedProgram
 {
     std::vector<DecodedInsn> code;
-    /** Content hash of the source program (programHash). */
+    /** Content hash of the source program (Program::contentHash). */
     std::uint64_t sourceHash = 0;
 
     std::size_t size() const { return code.size(); }
 };
-
-/**
- * Content hash of a finalized program (FNV-1a over every instruction
- * field). Used to pin a DecodedProgram to the exact program it was
- * decoded from when the two travel separately (ProgramCache sharing).
- */
-std::uint64_t programHash(const isa::Program &program);
 
 /** Decode @p program (must be finalized) into threaded-code form. */
 std::shared_ptr<const DecodedProgram>

@@ -393,7 +393,7 @@ Machine::loadProgram(int p, isa::Program program,
         // A shared decode (ProgramCache) must be the twin of this
         // exact program, or the threaded loop would execute different
         // code than the interpreter.
-        FB_ASSERT(decoded->sourceHash == programHash(program),
+        FB_ASSERT(decoded->sourceHash == program.contentHash(),
                   "decoded block does not match the loaded program on "
                   "cpu " << p);
     } else if (program.size() > 0) {
@@ -502,6 +502,10 @@ Machine::run(ShardWindowDriver *driver)
             _processors[static_cast<std::size_t>(p)]->halted();
     }
 
+    // Set after a window attempt that found no core able to run
+    // privately; see the window block below for what clears it.
+    bool window_idle = false;
+
     for (;;) {
         if (_injector) {
             _injector->beginCycle(_now, *_network);
@@ -567,14 +571,18 @@ Machine::run(ShardWindowDriver *driver)
             }
             _active[out++] = p;
             all_halted = false;
-            if (tr == TickResult::Progress)
+            if (tr == TickResult::Progress) {
                 any_progress = true;
+                window_idle = false;
+            }
         }
         _active.resize(out);
 
         int delivered = _network->evaluate(_now);
         if (delivered > 0 || _network->deliveryPending())
             any_progress = true;
+        if (delivered > 0)
+            window_idle = false;
 
         if (_config.recordSyncEvents && delivered > 0) {
             // Group the newly synchronized processors by tag; each
@@ -598,11 +606,15 @@ Machine::run(ShardWindowDriver *driver)
                     ++j;
                 SyncRecord record;
                 record.cycle = _now;
+                record.members.reserve(j - i);
+                record.arrivals.reserve(j - i);
+                record.crossings.reserve(j - i);
                 for (std::size_t k = i; k < j; ++k)
                     record.members.push_back(_groupScratch[k].second);
                 if (_membershipViolation.empty()) {
-                    _membershipViolation =
-                        checkMembership(record.members, _now);
+                    _membershipViolation = barrier::membershipViolation(
+                        *_network, record.members, _fenced, _now,
+                        _memberScratch);
                 }
                 for (int m : record.members) {
                     record.arrivals.push_back(
@@ -644,6 +656,7 @@ Machine::run(ShardWindowDriver *driver)
             if (!dead.empty()) {
                 applyRecovery(dead, _now);
                 any_progress = true;
+                window_idle = false;
             }
         }
 
@@ -688,8 +701,21 @@ Machine::run(ShardWindowDriver *driver)
             // Rendezvous with the shard threads only when some core
             // can actually use the window; everything else is the
             // fast-forward skip below, which costs no synchronization.
+            //
+            // After an attempt that dispatched nothing, skip the
+            // O(active) horizon pass and scan until a tick reports
+            // Progress, a delivery lands or a recovery runs. Until
+            // then no core's own state changes: a core that does not
+            // tick keeps it, a BarrierWait tick leaves the core
+            // stalled and a Halted one leaves the pool. Only a load
+            // parked at its private-read horizon may turn private as
+            // the clock advances; it then issues on the coordinator
+            // instead of in a window. Where a tick runs never changes
+            // what it computes, so results are unchanged. The rule is
+            // off under a fault injector, whose freezes and forced
+            // interrupts change cores without a tick.
             bool dispatch = false;
-            if (window > _now + 1) {
+            if (window > _now + 1 && !window_idle) {
                 // Publish per-core private-read horizons first: the
                 // dispatch decision below already consults them via
                 // isPrivateTick's load predicate, and the window's
@@ -706,6 +732,7 @@ Machine::run(ShardWindowDriver *driver)
                         break;
                     }
                 }
+                window_idle = !dispatch && !_injector;
             }
             if (dispatch) {
                 _windowActive = true;
@@ -1159,38 +1186,6 @@ Machine::applyRecovery(const std::vector<int> &dead, std::uint64_t now)
         warn(oss.str());
         _recoveries.push_back(std::move(event));
     }
-}
-
-std::string
-Machine::checkMembership(const std::vector<int> &members,
-                         std::uint64_t now) const
-{
-    for (int m : members) {
-        const auto &u = _network->unit(m);
-        std::string violation;
-        u.mask().forEachSet([&](std::size_t sq) {
-            if (!violation.empty())
-                return;
-            const int q = static_cast<int>(sq);
-            if (_fenced[sq])
-                return;  // legitimately excluded by recovery
-            const auto &other = _network->unit(q);
-            if (other.tag() != u.tag() || other.epoch() != u.epoch())
-                return;
-            if (std::find(members.begin(), members.end(), q) ==
-                members.end()) {
-                std::ostringstream oss;
-                oss << "fault-safety violation at cycle " << now
-                    << ": cpu" << m << " synchronized on tag "
-                    << u.tag() << " epoch " << u.epoch()
-                    << " without live member cpu" << q;
-                violation = oss.str();
-            }
-        });
-        if (!violation.empty())
-            return violation;
-    }
-    return "";
 }
 
 std::uint64_t

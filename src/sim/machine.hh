@@ -383,15 +383,6 @@ class Machine : public ExecutionObserver
     /** Fence the dead processors and run mask-shrink on survivors. */
     void applyRecovery(const std::vector<int> &dead, std::uint64_t now);
 
-    /**
-     * Fault-safety (membership) oracle, evaluated at delivery time:
-     * every live, same-tag, same-epoch processor in a member's mask
-     * must itself be part of the delivered group. Returns a
-     * description of the first violation or empty.
-     */
-    std::string checkMembership(const std::vector<int> &members,
-                                std::uint64_t now) const;
-
     MachineConfig _config;
     std::unique_ptr<SharedMemory> _memory;
     std::unique_ptr<SharedBus> _bus;
@@ -490,6 +481,8 @@ class Machine : public ExecutionObserver
     std::vector<int> _active;
     /** (tag, processor) pairs of one delivery, for episode grouping. */
     std::vector<std::pair<std::uint32_t, int>> _groupScratch;
+    /** One episode's member set, for the membership oracle. */
+    BitVector _memberScratch;
     /**
      * Sharded-run skew cursors: _procNext[p] is the next global cycle
      * whose tick processor p still owes. A processor with

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "support/hash.hh"
+
 namespace fb::snapshot
 {
 
@@ -104,34 +106,8 @@ bool disassemble(const std::vector<std::uint8_t> &bytes,
 bool peekHeader(const std::vector<std::uint8_t> &bytes,
                 SnapshotHeader &header, std::string &error);
 
-/**
- * Incremental FNV-1a hasher used for the configuration fingerprint.
- */
-class Fnv1a
-{
-  public:
-    void mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            _h ^= (v >> (8 * i)) & 0xffu;
-            _h *= 0x100000001b3ULL;
-        }
-    }
-
-    void mixString(const std::string &s)
-    {
-        mix(s.size());
-        for (char c : s) {
-            _h ^= static_cast<std::uint8_t>(c);
-            _h *= 0x100000001b3ULL;
-        }
-    }
-
-    std::uint64_t value() const { return _h; }
-
-  private:
-    std::uint64_t _h = 0xcbf29ce484222325ULL;
-};
+/** FNV-1a, as used for the configuration fingerprint. */
+using Fnv1a = fb::Fnv1a;
 
 } // namespace fb::snapshot
 

@@ -26,8 +26,12 @@ BitVector::set(std::size_t idx, bool value)
 void
 BitVector::setAll()
 {
-    for (std::size_t i = 0; i < _size; ++i)
-        set(i);
+    // Word at a time; bits past size() in the tail word stay clear,
+    // so count(), operator== and the word-level readers stay exact.
+    for (auto &w : _words)
+        w = ~std::uint64_t{0};
+    if (const std::size_t tail = _size % bitsPerWord; tail != 0)
+        _words.back() = (std::uint64_t{1} << tail) - 1;
 }
 
 void

@@ -4,8 +4,8 @@
  *
  * Used for the per-processor participation masks of the fuzzy barrier
  * hardware (paper section 6: "the mask for each processor consists of
- * n-1 bits"). Kept deliberately simple: the simulator never needs more
- * than a few hundred bits.
+ * n-1 bits"). Kept deliberately simple; the set-wide operations work a
+ * 64-bit word at a time, which is what keeps 1024-processor masks cheap.
  */
 
 #ifndef FB_SUPPORT_BITVECTOR_HH
@@ -49,7 +49,7 @@ class BitVector
         return (_words[wordOf(idx)] & maskOf(idx)) != 0;
     }
 
-    /** Set every bit. */
+    /** Set every bit: O(words). */
     void setAll();
 
     /** Clear every bit. */

@@ -162,7 +162,7 @@ checkOracles(const Scenario &sc, const Fingerprint &fp)
  *    every episode completes or the machine cleanly reports the
  *    degraded membership and finishes with it;
  *  - fault-safety: no processor crossed a barrier without every live
- *    same-tag same-epoch participant (Machine::checkMembership), and
+ *    same-tag same-epoch participant (barrier::membershipViolation), and
  *    the watchdog never declared a live processor dead (deadDeclared
  *    must be a subset of the plan's fatal targets);
  *  - survivors complete exactly sc.episodes; fatal targets at most.

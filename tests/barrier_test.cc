@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <vector>
 
 #include "barrier/network.hh"
 #include "barrier/state.hh"
 #include "barrier/topology.hh"
 #include "barrier/unit.hh"
+#include "support/random.hh"
 
 namespace fb::barrier
 {
@@ -124,6 +127,34 @@ TEST(BarrierUnit, WordMaskAddressesLow64Prefix)
     EXPECT_FALSE(u.mask().test(0));
     EXPECT_TRUE(u.mask().test(64));
     EXPECT_TRUE(u.mask().test(127));
+}
+
+TEST(BarrierUnit, SetMaskAllClearsOnlySelf)
+{
+    // The word-at-a-time setMaskAll() must name every processor but
+    // the unit itself, never a phantom bit past the machine, and keep
+    // the scrub shadow in step (a corrupted bit scrubs back).
+    for (int n : {1, 63, 64, 65, 1000, 1024}) {
+        for (int self : {0, n / 2, n - 1}) {
+            BarrierUnit u(n, self);
+            const std::uint64_t version = u.maskVersion();
+            u.setMaskAll();
+            EXPECT_GT(u.maskVersion(), version);
+            BitVector expect(static_cast<std::size_t>(n));
+            for (int p = 0; p < n; ++p) {
+                if (p != self)
+                    expect.set(static_cast<std::size_t>(p));
+            }
+            EXPECT_TRUE(u.mask() == expect) << n << "/" << self;
+            EXPECT_EQ(u.mask().count(), static_cast<std::size_t>(n - 1))
+                << n << "/" << self;
+            u.corruptMaskBit(self);
+            if (n > 1)
+                u.corruptMaskBit((self + 1) % n);
+            EXPECT_EQ(u.scrub(), 1);
+            EXPECT_TRUE(u.mask() == expect) << n << "/" << self;
+        }
+    }
 }
 
 TEST(BarrierUnit, CrossFromNonBarrierIsNoOp)
@@ -561,6 +592,182 @@ TEST_F(NetworkTest, AnalyzeDeadlockAt256Processors)
     EXPECT_EQ(rep.stuck[0].proc, 0);
     EXPECT_EQ(rep.stuck[254].proc, 254);
     EXPECT_FALSE(rep.toString().empty());
+}
+
+// ------------------------------------------------------ membership oracle
+
+/**
+ * The pairwise membership oracle the word-level membershipViolation()
+ * replaced, kept as the reference: every member's mask bit by bit,
+ * each with a linear search of the member list.
+ */
+std::string
+referenceMembershipViolation(const BarrierNetwork &net,
+                             const std::vector<int> &members,
+                             const std::vector<bool> &fenced,
+                             std::uint64_t now)
+{
+    for (int m : members) {
+        const auto &u = net.unit(m);
+        std::string violation;
+        u.mask().forEachSet([&](std::size_t sq) {
+            if (!violation.empty())
+                return;
+            const int q = static_cast<int>(sq);
+            if (fenced[sq])
+                return;
+            const auto &other = net.unit(q);
+            if (other.tag() != u.tag() || other.epoch() != u.epoch())
+                return;
+            if (std::find(members.begin(), members.end(), q) ==
+                members.end()) {
+                std::ostringstream oss;
+                oss << "fault-safety violation at cycle " << now
+                    << ": cpu" << m << " synchronized on tag "
+                    << u.tag() << " epoch " << u.epoch()
+                    << " without live member cpu" << q;
+                violation = oss.str();
+            }
+        });
+        if (!violation.empty())
+            return violation;
+    }
+    return "";
+}
+
+/** How a trial fills the masks of its processors. */
+enum class MaskShape
+{
+    All,        ///< setMaskAll(): the machine-wide group
+    Group,      ///< exactly the same-tag, same-epoch group
+    GroupNoise, ///< the group plus random stray bits
+    Random,     ///< independent random bits
+};
+
+TEST(MembershipOracle, MatchesPairwiseReferenceOnRandomGroups)
+{
+    RandomSource rng(20260417);
+    BitVector scratch;  // shared across sizes: exercises the resize
+    int clean = 0;
+    int violations = 0;
+    const int sizes[] = {2, 3, 63, 64, 65, 127, 128, 129, 1000, 1024};
+    for (int trial = 0; trial < 160; ++trial) {
+        const int n = trial < 40 ? sizes[trial % 10]
+                                 : static_cast<int>(rng.nextRange(2, 1024));
+        const auto shape = static_cast<MaskShape>(rng.nextBounded(4));
+        // Keep the cubic reference affordable on wide machines: their
+        // groups average 96 members (the full-machine group has its
+        // own test below).
+        const double in_group =
+            n > 256 ? 96.0 / n : 0.3 + 0.6 * rng.nextDouble();
+        const double fence_p = rng.nextBool() ? 0.0 : 0.1;
+
+        BarrierNetwork net(n);
+        std::vector<bool> fenced(static_cast<std::size_t>(n), false);
+        std::vector<int> group;
+        for (int p = 0; p < n; ++p) {
+            BarrierUnit &u = net.unit(p);
+            if (rng.nextBool(in_group)) {
+                u.setTag(1);
+                group.push_back(p);
+            } else {
+                // Another tag, or the group's tag in a later epoch.
+                u.setTag(static_cast<std::uint32_t>(rng.nextBounded(4)));
+                if (u.tag() == 1)
+                    u.bumpEpoch();
+            }
+            fenced[static_cast<std::size_t>(p)] = rng.nextBool(fence_p);
+        }
+        const double density = rng.nextDouble();
+        for (int p = 0; p < n; ++p) {
+            BarrierUnit &u = net.unit(p);
+            switch (shape) {
+              case MaskShape::All:
+                u.setMaskAll();
+                break;
+              case MaskShape::Group:
+              case MaskShape::GroupNoise:
+                for (int q : group)
+                    u.setMaskBit(q);
+                if (shape == MaskShape::GroupNoise) {
+                    for (int k = 0; k < 3; ++k)
+                        u.setMaskBit(
+                            static_cast<int>(rng.nextBounded(
+                                static_cast<std::uint64_t>(n))));
+                }
+                break;
+              case MaskShape::Random:
+                for (int q = 0; q < n; ++q) {
+                    if (rng.nextBool(density))
+                        u.setMaskBit(q);
+                }
+                break;
+            }
+        }
+
+        // The delivered members: the live group, ascending, with one
+        // live member left out in a third of the trials.
+        std::vector<int> members;
+        for (int p : group) {
+            if (!fenced[static_cast<std::size_t>(p)])
+                members.push_back(p);
+        }
+        if (members.size() > 2 && rng.nextBounded(3) == 0)
+            members.erase(members.begin() +
+                          static_cast<std::ptrdiff_t>(
+                              rng.nextBounded(members.size())));
+        if (members.empty())
+            continue;
+
+        const std::uint64_t now = rng.nextBounded(100000);
+        const std::string want =
+            referenceMembershipViolation(net, members, fenced, now);
+        EXPECT_EQ(membershipViolation(net, members, fenced, now, scratch),
+                  want)
+            << "trial " << trial << " n=" << n;
+        EXPECT_TRUE(scratch.none()) << "scratch left dirty";
+        ++(want.empty() ? clean : violations);
+    }
+    // Both verdicts must be well represented, or the property is moot.
+    EXPECT_GE(clean, 30);
+    EXPECT_GE(violations, 30);
+}
+
+TEST(MembershipOracle, FullMachineGroupAndOneMissingMember)
+{
+    // The 1024-member episode: clean when every processor is present,
+    // and the missing live member named, as the reference names it,
+    // when one is not. Missing members sample the word edges.
+    const int n = 1024;
+    BarrierNetwork net(n);
+    for (int p = 0; p < n; ++p) {
+        net.unit(p).setTag(1);
+        net.unit(p).setMaskAll();
+    }
+    std::vector<bool> fenced(n, false);
+    std::vector<int> all;
+    for (int p = 0; p < n; ++p)
+        all.push_back(p);
+    BitVector scratch;
+    EXPECT_EQ(membershipViolation(net, all, fenced, 7, scratch), "");
+    for (int missing : {0, 1, 63, 64, 65, 511, 1022, 1023}) {
+        std::vector<int> members;
+        for (int p = 0; p < n; ++p) {
+            if (p != missing)
+                members.push_back(p);
+        }
+        const std::string got =
+            membershipViolation(net, members, fenced, 7, scratch);
+        EXPECT_EQ(got, referenceMembershipViolation(net, members, fenced, 7));
+        EXPECT_NE(got.find("without live member cpu" +
+                           std::to_string(missing)),
+                  std::string::npos)
+            << got;
+        // Fencing the missing processor makes its absence legitimate.
+        fenced[static_cast<std::size_t>(missing)] = true;
+        EXPECT_EQ(membershipViolation(net, members, fenced, 7, scratch), "");
+        fenced[static_cast<std::size_t>(missing)] = false;
+    }
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "isa/assembler.hh"
+#include "sim/decoded.hh"
 #include "sim/machine.hh"
 
 namespace fb::sim
@@ -127,6 +128,45 @@ TEST(Machine, SingleProcessorArithmetic)
     EXPECT_FALSE(result.timedOut);
     EXPECT_EQ(m.memory().peek(100), 42);
     EXPECT_EQ(m.processor(0).reg(3), 42);
+}
+
+TEST(DecodeMemo, ProgramChangedAfterFinalizeGetsItsOwnBlock)
+{
+    // The process-wide decode memo is keyed by the content hash. A
+    // program edited through the mutable at() after finalize() must
+    // rehash and decode to its own block, never reuse the block of
+    // the code it was copied from.
+    const isa::Program original = assembleOrDie(R"(
+        li r1, 5
+        addi r1, r1, 1
+        st r1, 100(r0)
+        halt
+    )");
+    const std::uint64_t hash = original.contentHash();
+    auto block = decodeProgram(original);
+    EXPECT_EQ(block->sourceHash, hash);
+    EXPECT_EQ(decodeProgram(original).get(), block.get());  // memo hit
+
+    isa::Program edited = original;
+    EXPECT_EQ(edited.contentHash(), hash);
+    edited.at(1).imm = 41;
+    EXPECT_NE(edited.contentHash(), hash);
+    EXPECT_EQ(original.contentHash(), hash);
+    auto edited_block = decodeProgram(edited);
+    EXPECT_NE(edited_block.get(), block.get());
+    EXPECT_EQ(edited_block->sourceHash, edited.contentHash());
+    EXPECT_EQ(edited_block->code[1].imm, 41);
+    EXPECT_EQ(block->code[1].imm, 1);
+
+    // Each program runs its own code, on the decoded path too.
+    const std::pair<const isa::Program *, int> runs[] = {{&original, 6},
+                                                         {&edited, 46}};
+    for (const auto &[prog, want] : runs) {
+        Machine m(smallConfig(1));
+        m.loadProgram(0, *prog);
+        m.run();
+        EXPECT_EQ(m.memory().peek(100), want);
+    }
 }
 
 TEST(Machine, AllAluOpsExecute)

@@ -134,6 +134,33 @@ TEST(BitVector, ExactWordBoundarySizes)
     }
 }
 
+TEST(BitVector, SetAllMasksTailBits)
+{
+    // setAll() writes whole words and masks the tail word; it must
+    // agree bit for bit with setting each bit in turn, at sizes with
+    // no word, a partial word, exact words and a partial last word.
+    for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 1000u, 1024u}) {
+        BitVector wide(n);
+        wide.setAll();
+        BitVector bitwise(n);
+        for (std::size_t i = 0; i < n; ++i)
+            bitwise.set(i);
+        EXPECT_EQ(wide.count(), n) << "size " << n;
+        EXPECT_TRUE(wide.all()) << "size " << n;
+        EXPECT_TRUE(wide == bitwise) << "size " << n;
+        EXPECT_EQ(wide.toString(), std::string(n, '1')) << "size " << n;
+        if (n % 64 != 0) {
+            EXPECT_EQ(wide.word(wide.wordCount() - 1) >> (n % 64), 0u)
+                << "phantom bits past size " << n;
+        }
+        if (n > 0) {
+            wide.clear(n - 1);
+            EXPECT_FALSE(wide.all()) << "size " << n;
+            EXPECT_EQ(wide.lastSet(), n >= 2 ? n - 2 : n) << "size " << n;
+        }
+    }
+}
+
 TEST(BitVector, SetAlgebraAcrossWordBoundary)
 {
     // Bits 63 and 64 land in different storage words; the set-algebra
