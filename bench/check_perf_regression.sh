@@ -8,7 +8,6 @@
 #   e7_scaling_ff_speedup.ff_speedup             (fast-forward core)
 #   e8_hotspot_ff_speedup.ff_speedup             (fast-forward core)
 #   e19_shard_delta.shard_speedup_4              (sharded executor)
-#   e20_dispatch_delta.dispatch_speedup          (pre-decoded backend)
 #   e22_topology_delta.oactive_ratio             (O(active) bookkeeping)
 #
 # Configuration binding: e22's entry records the topology set it was
@@ -65,7 +64,6 @@ TRACKED = [
     ("e7_scaling_ff_speedup", "ff_speedup"),
     ("e8_hotspot_ff_speedup", "ff_speedup"),
     ("e19_shard_delta", "shard_speedup_4"),
-    ("e20_dispatch_delta", "dispatch_speedup"),
     ("e22_topology_delta", "oactive_ratio"),
 ]
 

@@ -38,21 +38,16 @@ simCycleTally()
     return tally;
 }
 
-/** Environment knobs honoured by every bench: FB_NO_FAST_FORWARD=1
- * forces the legacy per-cycle loop (MachineConfig::fastForward off)
- * so run_all.sh can measure the fast-forward speedup on identical
- * workloads, and FB_NO_PREDECODE=1 forces the legacy instruction
- * interpreter (MachineConfig::predecode off) so the pre-decoded
- * backend can be excluded the same way. */
+/** Environment knob honoured by every bench: FB_NO_FAST_FORWARD=1
+ * forces the per-cycle reference loop (MachineConfig::fastForward
+ * off) so run_all.sh can measure the fast engine's speedup on
+ * identical workloads. */
 inline void
 applyEnvOverrides(sim::MachineConfig &cfg)
 {
     const char *v = std::getenv("FB_NO_FAST_FORWARD");
     if (v != nullptr && v[0] == '1')
         cfg.fastForward = false;
-    v = std::getenv("FB_NO_PREDECODE");
-    if (v != nullptr && v[0] == '1')
-        cfg.predecode = false;
 }
 
 /** Fold one run's cycle count into the process tally; the first call

@@ -33,7 +33,7 @@ e7_scaling e8_hotspot e9_drift_tolerance e10_microbench
 e11_pipeline_ablation e12_encoding_ablation e13_cycle_shrinking
 e14_selfsched_runtime e15_sync_latency e16_fault_overhead
 e17_snapshot_overhead e18_campaign_throughput e19_shard_scaling
-e20_dispatch_overhead e21_service_overhead e22_topology_scaling"
+e21_service_overhead e22_topology_scaling"
 for name in $EXPECTED; do
     if [ ! -x "$BENCH_DIR/$name" ]; then
         echo "run_all: missing experiment binary: $BENCH_DIR/$name" >&2
@@ -144,25 +144,6 @@ for name in $EXPECTED; do
             ENTRIES="$ENTRIES  {\"name\": \"e19_shard_delta\", \"shard_speedup_2\": $sp2, \"shard_speedup_4\": $sp4, \"shard_speedup_8\": $sp8},
 "
             echo "run_all: shard scaling: ${sp2}x @2, ${sp4}x @4, ${sp8}x @8 shards"
-        fi
-    fi
-    if [ "$name" = "e20_dispatch_overhead" ] && [ "$STATUS" -eq 0 ]; then
-        # Copy E20's backend-comparison tallies into their own entry so
-        # the perf-regression gate can track the pre-decoded dispatch
-        # speedup over the legacy interpreter without table-scraping.
-        disp_speedup=$(printf '%s\n' "$OUT_TEXT" |
-            awk '/^dispatch-speedup:/ {print $2; exit}')
-        disp_dec=$(printf '%s\n' "$OUT_TEXT" |
-            awk '/^dispatch-cycles-per-sec-decoded:/ {print $2; exit}')
-        disp_leg=$(printf '%s\n' "$OUT_TEXT" |
-            awk '/^dispatch-cycles-per-sec-legacy:/ {print $2; exit}')
-        if [ -z "$disp_speedup" ] || [ -z "$disp_dec" ] || [ -z "$disp_leg" ]; then
-            echo "run_all: FAIL e20_dispatch_overhead: missing dispatch tally lines" >&2
-            FAILURES=$((FAILURES + 1))
-        else
-            ENTRIES="$ENTRIES  {\"name\": \"e20_dispatch_delta\", \"dispatch_speedup\": $disp_speedup, \"cycles_per_sec_decoded\": $disp_dec, \"cycles_per_sec_legacy\": $disp_leg},
-"
-            echo "run_all: dispatch overhead: decoded ${disp_dec} cycles/sec (${disp_speedup}x over legacy interpreter)"
         fi
     fi
     if [ "$name" = "e21_service_overhead" ] && [ "$STATUS" -eq 0 ]; then

@@ -31,10 +31,6 @@ ProgramCache::intern(const std::string &source)
         entry->regionViolation = prog.checkRegionBranches();
         entry->markers = prog.toMarkerEncoding();
         entry->bits = std::move(prog);
-        if (entry->bits.size() > 0) {
-            entry->bitsDecoded = sim::decodeProgram(entry->bits);
-            entry->markersDecoded = sim::decodeProgram(entry->markers);
-        }
     }
 
     std::lock_guard<std::mutex> lk(_mu);

@@ -14,7 +14,6 @@
 #include <unordered_map>
 
 #include "isa/program.hh"
-#include "sim/decoded.hh"
 
 namespace fb::exec
 {
@@ -34,16 +33,6 @@ struct InternedProgram
     std::optional<std::string> regionViolation;
     isa::Program bits;    ///< region-bit encoding
     isa::Program markers; ///< marker encoding (toMarkerEncoding)
-    /**
-     * Pre-decoded threaded-code blocks for both encodings (null when
-     * assembly failed or the program is empty). Passing these to
-     * Machine::loadProgram lets every pooled machine in a campaign
-     * share one decode per distinct source instead of re-decoding on
-     * each lease; loadProgram re-verifies the block's source hash, so
-     * a block handed to the wrong program is rejected, not trusted.
-     */
-    std::shared_ptr<const sim::DecodedProgram> bitsDecoded;
-    std::shared_ptr<const sim::DecodedProgram> markersDecoded;
 };
 
 /**

@@ -193,13 +193,16 @@ struct MachineConfig
     bool traceBarrierStates = false;
 
     /**
-     * Event-driven fast-forward: when no processor can make progress
-     * at the current cycle, jump time directly to the next event
-     * (execute completion, barrier delivery, interrupt, fault action,
-     * watchdog deadline) and bulk-account the skipped wait cycles.
-     * All RunResult counters stay bit-identical to the per-cycle
-     * loop; the differential verifier cross-checks the two modes.
-     * Forced off when traceBarrierStates needs per-cycle records.
+     * Engine choice. true (the default) runs the windowed engine:
+     * each processor runs ahead of the global clock through provably
+     * private ticks (pre-decoded, threaded-code dispatch, loads that
+     * hit the own cache below the cross-processor write horizon), and
+     * cycles in which nothing can act are skipped, with the waits
+     * bulk-accounted. false runs the per-cycle reference loop, the
+     * differential oracle. Every RunResult counter is bit-identical
+     * between the two; the equivalence suite and the differential
+     * verifier cross-check them. Forced off when traceBarrierStates
+     * needs per-cycle records.
      */
     bool fastForward = true;
 
@@ -244,36 +247,9 @@ struct MachineConfig
      * Maximum cycles a shard may run ahead of the global clock
      * between rendezvous (the fuzzy-barrier skew bound, quantum-style
      * like Sniper's barrier-synchronized cores). 0 disables sharding
-     * entirely — the sequential core is unchanged.
+     * entirely: windows then run inline on the calling thread.
      */
     std::uint64_t shardQuantum = 0;
-
-    /**
-     * Pre-decoded threaded-code execution backend: decode each loaded
-     * program once into a flat DecodedProgram and run straight-line,
-     * non-barrier, non-observable stretches through a computed-goto
-     * dispatch loop that macro-steps whole windows per call (the
-     * busy-stretch dual of fastForward's idle skip; requires
-     * fastForward in the sequential core, where the macro-step path
-     * reuses the shard-window machinery with a fixed quantum). Every
-     * counter, register, PRNG draw, trace record and snapshot byte
-     * stays bit-identical to the per-cycle loop — the equivalence
-     * corpus pins this — so the flag is excluded from the config
-     * fingerprint and the pool's structural key, like the other
-     * how-not-what knobs above.
-     */
-    bool predecode = true;
-
-    /**
-     * Allow the windowed dispatcher to execute *loads* on a shard's
-     * private fast path when the load provably cannot observe another
-     * processor's store inside the window (own-cache hit below the
-     * cross-processor write horizon). Pure optimization: values,
-     * counters and snapshot bytes are bit-identical either way — the
-     * equivalence corpus pins this — so like predecode it is excluded
-     * from the config fingerprint.
-     */
-    bool privateReads = true;
 };
 
 } // namespace fb::sim

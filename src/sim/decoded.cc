@@ -3,7 +3,6 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "sim/processor.hh"
 #include "support/logging.hh"
 
 namespace fb::sim
@@ -30,6 +29,40 @@ isPrivateOp(Opcode op)
     }
 }
 
+/** True if @p op may occupy a non-leading bundle slot: ALU ops,
+ * branches and NOP. Memory ops (single port), barrier control,
+ * linkage and HALT issue alone. */
+bool
+isBundleable(Opcode op)
+{
+    switch (op) {
+      case Opcode::ADD:
+      case Opcode::SUB:
+      case Opcode::MUL:
+      case Opcode::DIV:
+      case Opcode::AND:
+      case Opcode::OR:
+      case Opcode::XOR:
+      case Opcode::SLT:
+      case Opcode::SHL:
+      case Opcode::SHR:
+      case Opcode::ADDI:
+      case Opcode::MULI:
+      case Opcode::SLTI:
+      case Opcode::LI:
+      case Opcode::MOV:
+      case Opcode::NOP:
+      case Opcode::BEQ:
+      case Opcode::BNE:
+      case Opcode::BLT:
+      case Opcode::BGE:
+      case Opcode::JMP:
+        return true;
+      default:
+        return false;
+    }
+}
+
 /** Decode one instruction; the pc only labels a failed check. */
 DecodedInsn
 decodeInsn(const isa::Instruction &instr, std::size_t pc)
@@ -50,7 +83,7 @@ decodeInsn(const isa::Instruction &instr, std::size_t pc)
     d.rs2 = instr.rs2;
     d.privateOp = isPrivateOp(instr.op);
     d.staticRegion = instr.inRegion || instr.op == Opcode::BRENTER;
-    d.bundleable = Processor::bundleable(instr);
+    d.bundleable = isBundleable(instr.op);
     return d;
 }
 

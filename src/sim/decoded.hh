@@ -1,22 +1,21 @@
 /**
  * @file
- * Pre-decoded threaded-code representation of an isa::Program.
+ * Pre-decoded representation of an isa::Program: the form both
+ * engines execute.
  *
- * The per-cycle interpreter pays a fetch/decode/classify tax on every
- * issue: bounds-check the PC, load the Instruction, switch on the
- * opcode, look up its base latency, and re-derive the region/private
- * classification from scratch. DecodedProgram hoists all of that to
- * load time: each instruction becomes a flat DecodedInsn with resolved
- * operands, its precomputed latency, and the three classification bits
- * the hot paths need (may-execute-privately, statically-in-region,
- * bundleable). Processor::runPrivate dispatches over this array with a
- * computed-goto (threaded-code) loop — see processor.cc — executing
- * whole straight-line private stretches in one call.
+ * Decoding hoists the fetch/decode/classify work out of every issue:
+ * each instruction becomes a flat DecodedInsn with resolved operands,
+ * its precomputed latency, and the three classification bits the hot
+ * paths need (may-execute-privately, statically-in-region,
+ * bundleable). The per-cycle Processor::tick() issues from this array
+ * and Processor::runPrivate dispatches over it with a computed-goto
+ * (threaded-code) loop — see processor.cc — executing whole
+ * straight-line private stretches in one call.
  *
- * A DecodedProgram is immutable after decode and carries a content
- * hash of its source program, so decoded blocks can be shared freely
- * across machines (exec::ProgramCache interns them next to the
- * assembled programs) and a mismatched pairing is caught at load.
+ * A DecodedProgram is immutable after decode and carries the content
+ * hash of its source program. Machine::loadProgram obtains every
+ * block from decodeProgram(), whose process-wide memo shares one
+ * block between machines loading the same program.
  */
 
 #ifndef FB_SIM_DECODED_HH
@@ -55,7 +54,7 @@ struct DecodedInsn
      * stay runtime inputs.
      */
     bool staticRegion = false;
-    /** May occupy a non-leading bundle slot (Processor::bundleable). */
+    /** May occupy a non-leading bundle slot (ALU, branch, NOP). */
     bool bundleable = false;
 
     bool operator==(const DecodedInsn &) const = default;

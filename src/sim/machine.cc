@@ -73,8 +73,7 @@ class Machine::Port : public MemoryPort
     bool
     privateReadable(std::size_t addr) const override
     {
-        return _machine._config.privateReads &&
-               addr < _machine._memory->size() &&
+        return addr < _machine._memory->size() &&
                _machine._caches[static_cast<std::size_t>(_cpu)]
                    ->wouldHit(addr);
     }
@@ -177,15 +176,16 @@ Machine::Machine(const MachineConfig &config) : _config(config)
     _programs.resize(static_cast<std::size_t>(config.numProcessors));
     for (auto &prog : _programs)
         prog.finalize();
-    _decodedPrograms.resize(
-        static_cast<std::size_t>(config.numProcessors));
+    _decodedPrograms.assign(static_cast<std::size_t>(config.numProcessors),
+                            decodeProgram(_programs.front()));
 
     RandomSource master(config.seed);
     for (int p = 0; p < config.numProcessors; ++p) {
         _caches.push_back(std::make_unique<DataCache>(config.cache));
         _ports.push_back(std::make_unique<Port>(*this, p));
         _processors.push_back(std::make_unique<Processor>(
-            p, _programs[static_cast<std::size_t>(p)], _network->unit(p),
+            p, *_decodedPrograms[static_cast<std::size_t>(p)],
+            _network->unit(p),
             *_ports.back(), config.pipelineDepth, config.stall,
             master.split(), config.jitterMean, config.interruptPeriod,
             config.isrEntry, config.issueWidth));
@@ -300,9 +300,10 @@ Machine::reset(const MachineConfig &config)
         prog = isa::Program();
         prog.finalize();
     }
+    const auto empty = decodeProgram(_programs.front());
     for (int p = 0; p < config.numProcessors; ++p) {
-        _decodedPrograms[static_cast<std::size_t>(p)] = nullptr;
-        _processors[static_cast<std::size_t>(p)]->setDecoded(nullptr);
+        _decodedPrograms[static_cast<std::size_t>(p)] = empty;
+        _processors[static_cast<std::size_t>(p)]->setProgram(*empty);
     }
 
     // Same seeding protocol as the constructor: one master stream,
@@ -380,46 +381,23 @@ Machine::reset(const MachineConfig &config)
 }
 
 void
-Machine::loadProgram(int p, isa::Program program,
-                     std::shared_ptr<const DecodedProgram> decoded)
+Machine::loadProgram(int p, isa::Program program)
 {
     FB_ASSERT(p >= 0 && p < numProcessors(), "bad processor index");
     FB_ASSERT(program.finalized(), "program must be finalized");
     FB_ASSERT(_now == 0, "cannot load programs after run()");
     const auto sp = static_cast<std::size_t>(p);
-    if (!_config.predecode) {
-        decoded = nullptr;  // escape hatch: legacy per-cycle loop only
-    } else if (decoded != nullptr) {
-        // A shared decode (ProgramCache) must be the twin of this
-        // exact program, or the threaded loop would execute different
-        // code than the interpreter.
-        FB_ASSERT(decoded->sourceHash == program.contentHash(),
-                  "decoded block does not match the loaded program on "
-                  "cpu " << p);
-    } else if (program.size() > 0) {
-        decoded = decodeProgram(program);
-    }
+    _decodedPrograms[sp] = decodeProgram(program);
     _programs[sp] = std::move(program);
-    _decodedPrograms[sp] = std::move(decoded);
-    _processors[sp]->setDecoded(_decodedPrograms[sp].get());
+    _processors[sp]->setProgram(*_decodedPrograms[sp]);
 }
 
 void
 Machine::loadAllPrograms(const isa::Program &program)
 {
-    // Decode once, share the block across every processor.
-    std::shared_ptr<const DecodedProgram> decoded;
-    if (_config.predecode && program.size() > 0)
-        decoded = decodeProgram(program);
+    // The decode memo hands every processor the same block.
     for (int p = 0; p < numProcessors(); ++p)
-        loadProgram(p, program, decoded);
-}
-
-std::shared_ptr<const DecodedProgram>
-Machine::decodedProgram(int p) const
-{
-    FB_ASSERT(p >= 0 && p < numProcessors(), "bad processor index");
-    return _decodedPrograms[static_cast<std::size_t>(p)];
+        loadProgram(p, program);
 }
 
 Processor &
@@ -455,44 +433,29 @@ Machine::onCross(int p, std::uint64_t cycle)
 RunResult
 Machine::run(ShardWindowDriver *driver)
 {
-    RunResult result;
     const int n = numProcessors();
-    result.perProcessor.reserve(static_cast<std::size_t>(n));
-    constexpr std::uint64_t never =
-        std::numeric_limits<std::uint64_t>::max();
 
-    // Per-cycle barrier-state tracing needs the loop body to run on
-    // every cycle, so it disables fast-forward.
-    const bool fast_forward = _config.fastForward && !_trace;
-
-    // Sharded windows (section 17) generalize fast-forward — both
-    // reason about which cycles the loop body may not observe — so a
-    // driver is honoured only when fast-forward is live and a skew
-    // quantum is configured.
+    // Two engines. The per-cycle reference loop runs the body below
+    // on every cycle; it is also what barrier-state tracing needs,
+    // since the timeline wants one sample per cycle. The windowed
+    // engine (section 19) lets cores run ahead of the clock through
+    // private ticks and skips cycles no core acts in. A driver
+    // (section 17) spreads its windows over host threads; without
+    // one they run inline on this thread with a fixed quantum, which
+    // is only a batching knob — the sharded suite pins that results
+    // do not depend on the quantum.
+    constexpr std::uint64_t inlineQuantum = 4096;
+    const bool fast = _config.fastForward && !_trace;
     const bool sharded =
-        driver != nullptr && fast_forward && _config.shardQuantum != 0;
-
-    // Macro-stepping (section 19): with the pre-decoded backend the
-    // sequential core reuses the exact same window machinery, inline
-    // on this thread — advanceShardRange over all processors instead
-    // of a driver rendezvous — so straight-line private stretches run
-    // through the threaded-code loop in one call. Identical window
-    // bounds, identical deadlock guard, identical results at any
-    // quantum (the sharded suite pins quantum-invariance), so the
-    // fixed quantum below is purely a batching knob.
-    constexpr std::uint64_t macroQuantum = 4096;
-    const bool macro = !sharded && driver == nullptr && fast_forward &&
-                       _config.predecode;
-    const bool windowed = sharded || macro;
+        fast && driver != nullptr && _config.shardQuantum != 0;
+    ShardWindowDriver *const window_driver = sharded ? driver : nullptr;
     const std::uint64_t quantum =
-        sharded ? _config.shardQuantum : macroQuantum;
-    if (windowed)
-        _procNext.assign(static_cast<std::size_t>(n), 0);
+        sharded ? _config.shardQuantum : inlineQuantum;
 
+    _procNext.assign(static_cast<std::size_t>(n), 0);
     _active.clear();
     for (int p = 0; p < n; ++p)
         _active.push_back(p);
-
     // Seed the watchdog's halted-or-fenced view once; from here it is
     // maintained on the edges that change it (halt, kill, recovery
     // fence) so the per-cycle watchdog block never scans all n cores.
@@ -501,398 +464,36 @@ Machine::run(ShardWindowDriver *driver)
             _fenced[static_cast<std::size_t>(p)] ||
             _processors[static_cast<std::size_t>(p)]->halted();
     }
+    _windowIdle = false;
 
-    // Set after a window attempt that found no core able to run
-    // privately; see the window block below for what clears it.
-    bool window_idle = false;
-
+    RunResult result;
     for (;;) {
-        if (_injector) {
-            _injector->beginCycle(_now, *_network);
-            for (int d : _injector->killsDue(_now)) {
-                if (!_fenced[static_cast<std::size_t>(d)]) {
-                    std::ostringstream oss;
-                    oss << "fault: killing cpu" << d << " at cycle "
-                        << _now;
-                    warn(oss.str());
-                    _processors[static_cast<std::size_t>(d)]->kill();
-                    _wdHalted[static_cast<std::size_t>(d)] = true;
-                }
-            }
-            for (int p : _active) {
-                auto &proc = *_processors[static_cast<std::size_t>(p)];
-                if (!_fenced[static_cast<std::size_t>(p)] &&
-                    !proc.halted() && _injector->stormActive(p, _now)) {
-                    proc.forceInterrupt();
-                    ++_injector->stats().forcedInterrupts;
-                }
-            }
-        }
+        CycleOutcome c;
+        if (_injector)
+            injectFaults();
+        stepCores(c);
+        deliverEpisodes(c);
+        if (_trace)
+            traceCycle(c.delivered > 0);
+        if (_watchdog)
+            watchdogCycle(c);
 
-        bool all_halted = true;
-        bool any_progress = false;
-
-        // Tick the still-active processors in ascending order (tick
-        // order is architectural: FAA atomicity and bus request
-        // ordering depend on it), compacting out the ones that leave
-        // the pool. A fenced processor was declared dead by the
-        // watchdog: it no longer ticks and counts as halted. A frozen
-        // processor skips its tick; unless frozen forever, it will
-        // resume, so the run must not terminate on it.
-        std::size_t out = 0;
-        for (std::size_t idx = 0; idx < _active.size(); ++idx) {
-            int p = _active[idx];
-            if (_fenced[static_cast<std::size_t>(p)])
-                continue;  // drop from the active pool
-            if (_injector && _injector->frozen(p, _now)) {
-                if (!_injector->frozenForever(p, _now))
-                    all_halted = false;
-                _active[out++] = p;
-                continue;
-            }
-            if (windowed &&
-                _procNext[static_cast<std::size_t>(p)] > _now) {
-                // Ran ahead through private ticks inside an earlier
-                // window: each of those ticks reported Progress and
-                // could not halt, so the sequential loop would have
-                // seen a live, progressing core at this cycle.
-                _active[out++] = p;
-                all_halted = false;
-                any_progress = true;
-                continue;
-            }
-            TickResult tr =
-                _processors[static_cast<std::size_t>(p)]->tick(_now);
-            if (windowed)
-                _procNext[static_cast<std::size_t>(p)] = _now + 1;
-            if (tr == TickResult::Halted) {
-                _wdHalted[static_cast<std::size_t>(p)] = true;
-                continue;  // halted for good: drop from the pool
-            }
-            _active[out++] = p;
-            all_halted = false;
-            if (tr == TickResult::Progress) {
-                any_progress = true;
-                window_idle = false;
-            }
-        }
-        _active.resize(out);
-
-        int delivered = _network->evaluate(_now);
-        if (delivered > 0 || _network->deliveryPending())
-            any_progress = true;
-        if (delivered > 0)
-            window_idle = false;
-
-        if (_config.recordSyncEvents && delivered > 0) {
-            // Group the newly synchronized processors by tag; each
-            // group is one completed barrier episode. delivered() is
-            // exactly the set whose episode counters advanced, in
-            // ascending processor order; a stable sort by tag yields
-            // the ascending-tag, ascending-member order the old
-            // std::map grouping produced, without the per-delivery
-            // allocations.
-            _groupScratch.clear();
-            for (int p : _network->delivered())
-                _groupScratch.emplace_back(_network->unit(p).tag(), p);
-            std::stable_sort(_groupScratch.begin(), _groupScratch.end(),
-                             [](const auto &a, const auto &b) {
-                                 return a.first < b.first;
-                             });
-            for (std::size_t i = 0; i < _groupScratch.size();) {
-                std::size_t j = i;
-                while (j < _groupScratch.size() &&
-                       _groupScratch[j].first == _groupScratch[i].first)
-                    ++j;
-                SyncRecord record;
-                record.cycle = _now;
-                record.members.reserve(j - i);
-                record.arrivals.reserve(j - i);
-                record.crossings.reserve(j - i);
-                for (std::size_t k = i; k < j; ++k)
-                    record.members.push_back(_groupScratch[k].second);
-                if (_membershipViolation.empty()) {
-                    _membershipViolation = barrier::membershipViolation(
-                        *_network, record.members, _fenced, _now,
-                        _memberScratch);
-                }
-                for (int m : record.members) {
-                    record.arrivals.push_back(
-                        _lastArrival[static_cast<std::size_t>(m)]);
-                    record.crossings.push_back(
-                        std::numeric_limits<std::uint64_t>::max());
-                }
-                _syncRecords.push_back(std::move(record));
-                for (std::size_t k = i; k < j; ++k) {
-                    _openSyncRecord[static_cast<std::size_t>(
-                        _groupScratch[k].second)] =
-                        _syncRecords.size() - 1;
-                }
-                i = j;
-            }
-            if (_config.syncRecordWindow != 0)
-                pruneSyncRecords();
-        }
-
-        if (_trace) {
-            _traceStates.clear();
-            _traceHalted.clear();
-            for (int p = 0; p < n; ++p) {
-                _traceStates.push_back(_network->unit(p).state());
-                _traceHalted.push_back(
-                    _processors[static_cast<std::size_t>(p)]->halted());
-            }
-            _trace->record(_traceStates, _traceHalted, delivered > 0);
-        }
-
-        if (_watchdog) {
-            // The watchdog only gets processor *halt* status — a
-            // frozen core looks alive from the outside, which is
-            // exactly the straggler-vs-dead ambiguity the backoff
-            // path must resolve. _wdHalted is maintained on halt /
-            // kill / fence edges, so no per-cycle scan happens here.
-            std::vector<int> dead =
-                _watchdog->tick(*_network, _wdHalted, _now);
-            if (!dead.empty()) {
-                applyRecovery(dead, _now);
-                any_progress = true;
-                window_idle = false;
-            }
-        }
-
-        if (all_halted)
+        if (c.allHalted)
             break;
-
-        if (!any_progress &&
-            (!_injector || !_injector->pendingActivity(_now)) &&
-            (!_watchdog || !_watchdog->armed())) {
+        if (deadlocked(c)) {
             result.deadlocked = true;
             result.deadlockInfo = describeState();
             break;
         }
-
-        if (windowed) {
-            // Window bound: no processor may run ahead into a cycle
-            // where a global action could affect it — a fault event
-            // or thaw, a watchdog recovery (which can fence a live
-            // straggler), a checkpoint capture (which needs every
-            // core aligned), or the end of the run. Barrier pulse
-            // deliveries deliberately do NOT bound the window: a
-            // private tick never reads anything a delivery changes
-            // (Ready vs Synced both sit on the far side of the
-            // NonBarrier test in isPrivateTick), which is exactly the
-            // fuzzy barrier's license to keep computing while the
-            // sync propagates.
-            std::uint64_t window = _now + 1 + quantum;
-            window = std::min(window, _config.maxCycles);
-            if (_config.checkpointEveryCycles != 0) {
-                const std::uint64_t every =
-                    _config.checkpointEveryCycles;
-                window = std::min(window, (_now / every + 1) * every);
-            }
-            if (_injector)
-                window = std::min(window,
-                                  _injector->nextActivityCycle(_now));
-            if (_watchdog && _watchdog->armed())
-                window = std::min(
-                    window,
-                    std::max(_watchdog->nextDeadline(), _now + 1));
-
-            // Rendezvous with the shard threads only when some core
-            // can actually use the window; everything else is the
-            // fast-forward skip below, which costs no synchronization.
-            //
-            // After an attempt that dispatched nothing, skip the
-            // O(active) horizon pass and scan until a tick reports
-            // Progress, a delivery lands or a recovery runs. Until
-            // then no core's own state changes: a core that does not
-            // tick keeps it, a BarrierWait tick leaves the core
-            // stalled and a Halted one leaves the pool. Only a load
-            // parked at its private-read horizon may turn private as
-            // the clock advances; it then issues on the coordinator
-            // instead of in a window. Where a tick runs never changes
-            // what it computes, so results are unchanged. The rule is
-            // off under a fault injector, whose freezes and forced
-            // interrupts change cores without a tick.
-            bool dispatch = false;
-            if (window > _now + 1 && !window_idle) {
-                // Publish per-core private-read horizons first: the
-                // dispatch decision below already consults them via
-                // isPrivateTick's load predicate, and the window's
-                // release barrier makes them visible to every shard.
-                if (_config.privateReads)
-                    computePrivateReadHorizons();
-                for (int p : _active) {
-                    const auto sp = static_cast<std::size_t>(p);
-                    if (_injector && _injector->frozen(p, _now))
-                        continue;
-                    if (_procNext[sp] < window &&
-                        _processors[sp]->isPrivateTick(_procNext[sp])) {
-                        dispatch = true;
-                        break;
-                    }
-                }
-                window_idle = !dispatch && !_injector;
-            }
-            if (dispatch) {
-                _windowActive = true;
-                if (sharded)
-                    driver->advanceWindow(window);
-                else
-                    advanceShardRange(0, n, window);
-                _windowActive = false;
-                flushDeferredReads();
-            }
-
-            // Generalized fast-forward: a core that ran ahead needs
-            // no coordinator attention before _procNext[p]; everyone
-            // else contributes its usual nextEventCycle(). The global
-            // clock still lands on every delivery, fault action and
-            // watchdog deadline.
-            std::uint64_t target = never;
-            for (int p : _active) {
-                const auto sp = static_cast<std::size_t>(p);
-                if (_injector && _injector->frozen(p, _now))
-                    continue;
-                if (_procNext[sp] > _now + 1)
-                    target = std::min(target, _procNext[sp]);
-                else
-                    target = std::min(
-                        target, _processors[sp]->nextEventCycle(_now));
-                if (target <= _now + 1)
-                    break;
-            }
-            {
-                const std::uint64_t delivery =
-                    _network->nextDeliveryCycle();
-                if (delivery != never)
-                    target = std::min(target,
-                                      std::max(delivery, _now + 1));
-            }
-            if (_injector)
-                target = std::min(target,
-                                  _injector->nextActivityCycle(_now));
-            if (_watchdog && _watchdog->armed())
-                target = std::min(
-                    target,
-                    std::max(_watchdog->nextDeadline(), _now + 1));
-
-            if (target != never && target > _now + 1) {
-                // Same deadlock guard as the sequential skip; a core
-                // that ran ahead made progress on every cycle the
-                // skip would cover, so it counts as wait progress.
-                bool wait_progress = _network->deliveryPending();
-                for (int p : _active) {
-                    if (wait_progress)
-                        break;
-                    if (_injector && _injector->frozen(p, _now))
-                        continue;
-                    const auto sp = static_cast<std::size_t>(p);
-                    wait_progress =
-                        _procNext[sp] > _now + 1 ||
-                        _processors[sp]->progressWhileWaiting();
-                }
-                bool would_deadlock =
-                    !wait_progress &&
-                    (!_injector || !_injector->pendingActivity(_now)) &&
-                    (!_watchdog || !_watchdog->armed());
-                std::uint64_t stop =
-                    std::min(target, _config.maxCycles);
-                if (_config.checkpointEveryCycles != 0) {
-                    const std::uint64_t every =
-                        _config.checkpointEveryCycles;
-                    stop = std::min(stop, (_now / every + 1) * every);
-                }
-                if (!would_deadlock && stop > _now + 1) {
-                    std::uint64_t skipped = stop - _now - 1;
-                    for (int p : _active) {
-                        const auto sp = static_cast<std::size_t>(p);
-                        if (_injector && _injector->frozen(p, _now))
-                            continue;
-                        if (_procNext[sp] > _now + 1)
-                            continue;  // these cycles already ran
-                        _processors[sp]->advanceWait(skipped);
-                    }
-                    _now += skipped;
-                }
-            }
-        } else if (fast_forward) {
-            // Every cycle from _now + 1 up to (excluding) the next
-            // interesting cycle is pure wait: each skipped body would
-            // only apply the fixed per-state accounting, evaluate()
-            // and the fault machinery would be no-ops, and the
-            // termination checks could not fire — with one exception.
-            // The legacy loop declares deadlock as soon as a cycle
-            // makes no progress, even if a stalled core's timer
-            // interrupt is still scheduled; reproduce that by never
-            // skipping when the waiters' ticks would all report
-            // BarrierWait and neither injector nor watchdog is live.
-            std::uint64_t target = nextInterestingCycle();
-            if (target != never && target > _now + 1) {
-                bool wait_progress = _network->deliveryPending();
-                for (int p : _active) {
-                    if (wait_progress)
-                        break;
-                    if (_injector && _injector->frozen(p, _now))
-                        continue;
-                    wait_progress =
-                        _processors[static_cast<std::size_t>(p)]
-                            ->progressWhileWaiting();
-                }
-                bool would_deadlock =
-                    !wait_progress &&
-                    (!_injector || !_injector->pendingActivity(_now)) &&
-                    (!_watchdog || !_watchdog->armed());
-                std::uint64_t stop =
-                    std::min(target, _config.maxCycles);
-                if (_config.checkpointEveryCycles != 0) {
-                    // Land exactly on every checkpoint multiple so a
-                    // periodic snapshot is taken at the same cycles
-                    // the per-cycle loop would take it. advanceWait()
-                    // makes the split bit-identical, so the clamp
-                    // never changes results — only where time pauses.
-                    const std::uint64_t every =
-                        _config.checkpointEveryCycles;
-                    const std::uint64_t next_cp =
-                        (_now / every + 1) * every;
-                    stop = std::min(stop, next_cp);
-                }
-                if (!would_deadlock && stop > _now + 1) {
-                    std::uint64_t skipped = stop - _now - 1;
-                    for (int p : _active) {
-                        if (_injector && _injector->frozen(p, _now))
-                            continue;
-                        _processors[static_cast<std::size_t>(p)]
-                            ->advanceWait(skipped);
-                    }
-                    _now += skipped;
-                }
-            }
-        }
+        if (fast)
+            advanceFast(window_driver, quantum, c);
 
         ++_now;
         if (_now >= _config.maxCycles) {
             result.timedOut = true;
             break;
         }
-
-        if (_config.checkpointEveryCycles != 0 &&
-            (_checkpointSink || _stagedSink) &&
-            _now % _config.checkpointEveryCycles == 0) {
-            // Loop bottom is the one cut point at which re-entering
-            // run() at the loop top replays the remainder exactly:
-            // the restored machine re-derives _active and proceeds
-            // from cycle _now as if nothing had happened.
-            if (_stagedSink) {
-                takeStagedCheckpoint(_now /
-                                     _config.checkpointEveryCycles);
-            } else if (!_checkpointSink(
-                           _now, saveState(_now /
-                                           _config
-                                               .checkpointEveryCycles))) {
-                _checkpointSink = nullptr;
-            }
-        }
+        maybeCheckpoint();
     }
 
     // Epoch bookkeeping must not outlive the run: state mutated after
@@ -901,7 +502,377 @@ Machine::run(ShardWindowDriver *driver)
         endDeltaEpoch();
         _deltaEpochOpen = false;
     }
+    collectResult(result);
+    return result;
+}
 
+void
+Machine::injectFaults()
+{
+    _injector->beginCycle(_now, *_network);
+    for (int d : _injector->killsDue(_now)) {
+        if (!_fenced[static_cast<std::size_t>(d)]) {
+            std::ostringstream oss;
+            oss << "fault: killing cpu" << d << " at cycle " << _now;
+            warn(oss.str());
+            _processors[static_cast<std::size_t>(d)]->kill();
+            _wdHalted[static_cast<std::size_t>(d)] = true;
+        }
+    }
+    for (int p : _active) {
+        auto &proc = *_processors[static_cast<std::size_t>(p)];
+        if (!_fenced[static_cast<std::size_t>(p)] && !proc.halted() &&
+            _injector->stormActive(p, _now)) {
+            proc.forceInterrupt();
+            ++_injector->stats().forcedInterrupts;
+        }
+    }
+}
+
+void
+Machine::stepCores(CycleOutcome &c)
+{
+    // Tick the still-active processors in ascending order (tick order
+    // is architectural: FAA atomicity and bus request ordering depend
+    // on it), compacting out the ones that leave the pool. A fenced
+    // processor was declared dead by the watchdog: it no longer ticks
+    // and counts as halted. A frozen processor skips its tick; unless
+    // frozen forever, it will resume, so the run must not terminate
+    // on it.
+    std::size_t out = 0;
+    for (std::size_t idx = 0; idx < _active.size(); ++idx) {
+        const int p = _active[idx];
+        const auto sp = static_cast<std::size_t>(p);
+        if (_fenced[sp])
+            continue;  // drop from the active pool
+        if (_injector && _injector->frozen(p, _now)) {
+            if (!_injector->frozenForever(p, _now))
+                c.allHalted = false;
+            _active[out++] = p;
+            continue;
+        }
+        if (_procNext[sp] > _now) {
+            // Ran ahead through private ticks inside an earlier
+            // window: each of those ticks reported Progress and could
+            // not halt, so the per-cycle loop would have seen a live,
+            // progressing core at this cycle.
+            _active[out++] = p;
+            c.allHalted = false;
+            c.progress = true;
+            continue;
+        }
+        const TickResult tr = _processors[sp]->tick(_now);
+        _procNext[sp] = _now + 1;
+        if (tr == TickResult::Halted) {
+            _wdHalted[sp] = true;
+            continue;  // halted for good: drop from the pool
+        }
+        _active[out++] = p;
+        c.allHalted = false;
+        if (tr == TickResult::Progress) {
+            c.progress = true;
+            _windowIdle = false;
+        }
+    }
+    _active.resize(out);
+}
+
+void
+Machine::deliverEpisodes(CycleOutcome &c)
+{
+    c.delivered = _network->evaluate(_now);
+    if (c.delivered > 0 || _network->deliveryPending())
+        c.progress = true;
+    if (c.delivered > 0) {
+        _windowIdle = false;
+        if (_config.recordSyncEvents)
+            recordEpisodes();
+    }
+}
+
+void
+Machine::recordEpisodes()
+{
+    // Group the newly synchronized processors by tag; each group is
+    // one completed barrier episode. delivered() is exactly the set
+    // whose episode counters advanced, in ascending processor order; a
+    // stable sort by tag yields ascending-tag, ascending-member order.
+    _groupScratch.clear();
+    for (int p : _network->delivered())
+        _groupScratch.emplace_back(_network->unit(p).tag(), p);
+    std::stable_sort(_groupScratch.begin(), _groupScratch.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    for (std::size_t i = 0; i < _groupScratch.size();) {
+        std::size_t j = i;
+        while (j < _groupScratch.size() &&
+               _groupScratch[j].first == _groupScratch[i].first)
+            ++j;
+        SyncRecord record;
+        record.cycle = _now;
+        record.members.reserve(j - i);
+        record.arrivals.reserve(j - i);
+        record.crossings.reserve(j - i);
+        for (std::size_t k = i; k < j; ++k)
+            record.members.push_back(_groupScratch[k].second);
+        if (_membershipViolation.empty()) {
+            _membershipViolation = barrier::membershipViolation(
+                *_network, record.members, _fenced, _now, _memberScratch);
+        }
+        for (int m : record.members) {
+            record.arrivals.push_back(
+                _lastArrival[static_cast<std::size_t>(m)]);
+            record.crossings.push_back(
+                std::numeric_limits<std::uint64_t>::max());
+        }
+        _syncRecords.push_back(std::move(record));
+        for (std::size_t k = i; k < j; ++k) {
+            _openSyncRecord[static_cast<std::size_t>(
+                _groupScratch[k].second)] = _syncRecords.size() - 1;
+        }
+        i = j;
+    }
+    if (_config.syncRecordWindow != 0)
+        pruneSyncRecords();
+}
+
+void
+Machine::traceCycle(bool delivered)
+{
+    _traceStates.clear();
+    _traceHalted.clear();
+    for (int p = 0; p < numProcessors(); ++p) {
+        _traceStates.push_back(_network->unit(p).state());
+        _traceHalted.push_back(
+            _processors[static_cast<std::size_t>(p)]->halted());
+    }
+    _trace->record(_traceStates, _traceHalted, delivered);
+}
+
+void
+Machine::watchdogCycle(CycleOutcome &c)
+{
+    // The watchdog only gets processor *halt* status — a frozen core
+    // looks alive from the outside, which is exactly the
+    // straggler-vs-dead ambiguity the backoff path must resolve.
+    // _wdHalted is maintained on halt / kill / fence edges, so no
+    // per-cycle scan happens here.
+    const std::vector<int> dead =
+        _watchdog->tick(*_network, _wdHalted, _now);
+    if (!dead.empty()) {
+        applyRecovery(dead, _now);
+        c.progress = true;
+        c.recovered = true;
+        _windowIdle = false;
+    }
+}
+
+bool
+Machine::deadlocked(const CycleOutcome &c) const
+{
+    return !c.progress &&
+           (!_injector || !_injector->pendingActivity(_now)) &&
+           (!_watchdog || !_watchdog->armed());
+}
+
+void
+Machine::advanceFast(ShardWindowDriver *driver, std::uint64_t quantum,
+                     const CycleOutcome &c)
+{
+    const std::uint64_t window = windowBound(quantum);
+    if (windowUseful(window)) {
+        _windowActive = true;
+        if (driver)
+            driver->advanceWindow(window);
+        else
+            advanceShardRange(0, numProcessors(), window);
+        _windowActive = false;
+        flushDeferredReads();
+    }
+    skipWait(skipTarget(c));
+}
+
+std::uint64_t
+Machine::windowBound(std::uint64_t quantum) const
+{
+    // No processor may run ahead into a cycle where a global action
+    // could affect it: a fault event or thaw, a watchdog recovery
+    // (which can fence a live straggler), a checkpoint capture (which
+    // needs every core aligned), or the end of the run. Barrier pulse
+    // deliveries deliberately do NOT bound the window: a private tick
+    // never reads anything a delivery changes (Ready vs Synced both
+    // sit on the far side of the NonBarrier test in isPrivateTick),
+    // which is exactly the fuzzy barrier's license to keep computing
+    // while the sync propagates.
+    std::uint64_t window = std::min(_now + 1 + quantum, _config.maxCycles);
+    if (_config.checkpointEveryCycles != 0) {
+        const std::uint64_t every = _config.checkpointEveryCycles;
+        window = std::min(window, (_now / every + 1) * every);
+    }
+    if (_injector)
+        window = std::min(window, _injector->nextActivityCycle(_now));
+    if (_watchdog && _watchdog->armed())
+        window = std::min(window,
+                          std::max(_watchdog->nextDeadline(), _now + 1));
+    return window;
+}
+
+bool
+Machine::windowUseful(std::uint64_t window)
+{
+    // Open a window only when some core can actually use it; the skip
+    // that follows costs no synchronization.
+    //
+    // After an attempt that dispatched nothing, skip the O(active)
+    // horizon pass and scan until a tick reports Progress, a delivery
+    // lands or a recovery runs. Until then no core's own state
+    // changes: a core that does not tick keeps it, a BarrierWait tick
+    // leaves the core stalled and a Halted one leaves the pool. Only a
+    // load parked at its private-read horizon may turn private as the
+    // clock advances; it then issues on the coordinator instead of in
+    // a window. Where a tick runs never changes what it computes, so
+    // results are unchanged. The rule is off under a fault injector,
+    // whose freezes and forced interrupts change cores without a tick.
+    if (window <= _now + 1 || _windowIdle)
+        return false;
+    // Publish per-core private-read horizons first: the test below
+    // consults them via isPrivateTick's load predicate, and the
+    // window's release barrier makes them visible to every shard.
+    computePrivateReadHorizons();
+    for (int p : _active) {
+        const auto sp = static_cast<std::size_t>(p);
+        if (_injector && _injector->frozen(p, _now))
+            continue;
+        if (_procNext[sp] < window &&
+            _processors[sp]->isPrivateTick(_procNext[sp]))
+            return true;
+    }
+    _windowIdle = !_injector;
+    return false;
+}
+
+std::uint64_t
+Machine::skipTarget(const CycleOutcome &c) const
+{
+    // A recovery shrinks masks after this cycle's evaluate(); the
+    // shrunk group may complete at the very next evaluate(), which
+    // nextDeliveryCycle() cannot report (completion is computed only
+    // inside evaluate()). So the cycle after a recovery is never
+    // skipped.
+    if (c.recovered)
+        return _now + 1;
+
+    // A core that ran ahead needs no coordinator attention before
+    // _procNext[p]; everyone else contributes its nextEventCycle().
+    // The clock still lands on every delivery, fault action and
+    // watchdog deadline. A frozen core is woken by its thaw, an
+    // injector activity.
+    constexpr std::uint64_t never =
+        std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t target = never;
+    for (int p : _active) {
+        const auto sp = static_cast<std::size_t>(p);
+        if (_injector && _injector->frozen(p, _now))
+            continue;
+        if (_procNext[sp] > _now + 1)
+            target = std::min(target, _procNext[sp]);
+        else
+            target =
+                std::min(target, _processors[sp]->nextEventCycle(_now));
+        if (target <= _now + 1)
+            return _now + 1;
+    }
+    const std::uint64_t delivery = _network->nextDeliveryCycle();
+    if (delivery != never)
+        target = std::min(target, std::max(delivery, _now + 1));
+    if (_injector)
+        target = std::min(target, _injector->nextActivityCycle(_now));
+    if (_watchdog && _watchdog->armed())
+        target = std::min(target,
+                          std::max(_watchdog->nextDeadline(), _now + 1));
+    return target;
+}
+
+void
+Machine::skipWait(std::uint64_t target)
+{
+    // UINT64_MAX means no future event is scheduled: the next cycle
+    // decides deadlock or completion, so single-step.
+    if (target == std::numeric_limits<std::uint64_t>::max() ||
+        target <= _now + 1)
+        return;
+
+    // Every cycle from _now + 1 up to (excluding) the target is pure
+    // wait: each skipped body would only apply the fixed per-state
+    // accounting, evaluate() and the fault machinery would be no-ops,
+    // and the termination checks could not fire — with one exception.
+    // The per-cycle loop declares deadlock as soon as a cycle makes
+    // no progress, even if a stalled core's timer interrupt is still
+    // scheduled; so never skip when the waiters' ticks would all
+    // report BarrierWait and neither injector nor watchdog is live. A
+    // core that ran ahead made progress on every cycle the skip would
+    // cover, so it counts as wait progress.
+    bool wait_progress = _network->deliveryPending();
+    for (int p : _active) {
+        if (wait_progress)
+            break;
+        if (_injector && _injector->frozen(p, _now))
+            continue;
+        const auto sp = static_cast<std::size_t>(p);
+        wait_progress = _procNext[sp] > _now + 1 ||
+                        _processors[sp]->progressWhileWaiting();
+    }
+    const bool would_deadlock =
+        !wait_progress &&
+        (!_injector || !_injector->pendingActivity(_now)) &&
+        (!_watchdog || !_watchdog->armed());
+    if (would_deadlock)
+        return;
+
+    // Land exactly on every checkpoint multiple so a periodic
+    // snapshot is taken at the same cycles the per-cycle loop takes
+    // it. advanceWait() makes the split bit-identical.
+    std::uint64_t stop = std::min(target, _config.maxCycles);
+    if (_config.checkpointEveryCycles != 0) {
+        const std::uint64_t every = _config.checkpointEveryCycles;
+        stop = std::min(stop, (_now / every + 1) * every);
+    }
+    if (stop <= _now + 1)
+        return;
+    const std::uint64_t skipped = stop - _now - 1;
+    for (int p : _active) {
+        const auto sp = static_cast<std::size_t>(p);
+        if (_injector && _injector->frozen(p, _now))
+            continue;
+        if (_procNext[sp] > _now + 1)
+            continue;  // these cycles already ran
+        _processors[sp]->advanceWait(skipped);
+    }
+    _now += skipped;
+}
+
+void
+Machine::maybeCheckpoint()
+{
+    // Loop bottom is the one cut point at which re-entering run() at
+    // the loop top replays the remainder exactly: the restored machine
+    // re-derives _active and proceeds from cycle _now as if nothing
+    // had happened.
+    const std::uint64_t every = _config.checkpointEveryCycles;
+    if (every == 0 || (!_checkpointSink && !_stagedSink) ||
+        _now % every != 0)
+        return;
+    if (_stagedSink) {
+        takeStagedCheckpoint(_now / every);
+    } else if (!_checkpointSink(_now, saveState(_now / every))) {
+        _checkpointSink = nullptr;
+    }
+}
+
+void
+Machine::collectResult(RunResult &result) const
+{
     result.cycles = _now;
     result.syncEvents = _network->syncEvents();
     result.syncRecordsDropped = _syncRecordsDropped;
@@ -924,7 +895,9 @@ Machine::run(ShardWindowDriver *driver)
     if (_watchdog)
         result.watchdogStats = _watchdog->stats();
 
-    for (int p = 0; p < n; ++p) {
+    result.perProcessor.reserve(
+        static_cast<std::size_t>(numProcessors()));
+    for (int p = 0; p < numProcessors(); ++p) {
         const auto &proc = *_processors[static_cast<std::size_t>(p)];
         const auto &unit = _network->unit(p);
         const auto &cache = *_caches[static_cast<std::size_t>(p)];
@@ -941,7 +914,6 @@ Machine::run(ShardWindowDriver *driver)
         ps.cacheMisses = cache.misses();
         result.perProcessor.push_back(ps);
     }
-    return result;
 }
 
 void
@@ -1044,42 +1016,6 @@ Machine::computePrivateReadHorizons()
         const auto sp = static_cast<std::size_t>(p);
         _processors[sp]->setPrivateReadHorizon(p == argmin ? m2 : m1);
     }
-}
-
-std::uint64_t
-Machine::nextInterestingCycle() const
-{
-    constexpr std::uint64_t never =
-        std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t next = never;
-
-    for (int p : _active) {
-        // A frozen processor does not tick; it is woken by the thaw,
-        // which the injector reports below. (Freeze boundaries are
-        // injector events, so frozen status is constant across any
-        // window this function allows to be skipped.)
-        if (_injector && _injector->frozen(p, _now))
-            continue;
-        next = std::min(
-            next,
-            _processors[static_cast<std::size_t>(p)]->nextEventCycle(
-                _now));
-        if (next <= _now + 1)
-            return _now + 1;
-    }
-
-    std::uint64_t delivery = _network->nextDeliveryCycle();
-    if (delivery != never)
-        next = std::min(next, std::max(delivery, _now + 1));
-
-    if (_injector)
-        next = std::min(next, _injector->nextActivityCycle(_now));
-
-    if (_watchdog && _watchdog->armed())
-        next = std::min(next,
-                        std::max(_watchdog->nextDeadline(), _now + 1));
-
-    return next;
 }
 
 void
@@ -1222,11 +1158,10 @@ Machine::configFingerprint() const
     // it participates.
     h.mix(_config.syncRecordWindow);
     h.mix(_config.fastForward ? 1 : 0);
-    // checkpointEveryCycles, checkpointRebaseEvery, shardCount,
-    // shardQuantum, predecode and privateReads are deliberately
-    // excluded: none of them changes results, so snapshots taken at
-    // different cadences — or under a different shard layout or
-    // execution backend — are mutually restorable.
+    // checkpointEveryCycles, checkpointRebaseEvery, shardCount and
+    // shardQuantum are deliberately excluded: none of them changes
+    // results, so snapshots taken at different cadences — or under a
+    // different shard layout — are mutually restorable.
     h.mixString(_config.faultPlan != nullptr ? _config.faultPlan->toSpec()
                                              : std::string());
     h.mix(_config.watchdog.enabled ? 1 : 0);

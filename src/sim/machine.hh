@@ -130,11 +130,12 @@ struct SyncRecord
 
 /**
  * Shard rendezvous hook for exec::ShardedMachine (INTERNALS section
- * 17). When a driver is installed, run() replaces the fast-forward
- * skip with a window dispatch: advanceWindow(stop) must make every
- * shard call advanceShardRange(first, last, stop) for its processor
- * range (disjoint ranges, any threading) and return only when all
- * shards are done. The machine itself never spawns threads.
+ * 17). When a driver is installed, run() hands each window to it
+ * instead of advancing all processors inline: advanceWindow(stop)
+ * must make every shard call advanceShardRange(first, last, stop) for
+ * its processor range (disjoint ranges, any threading) and return
+ * only when all shards are done. The machine itself never spawns
+ * threads.
  */
 class ShardWindowDriver
 {
@@ -180,24 +181,15 @@ class Machine : public ExecutionObserver
     void reset(const MachineConfig &config);
 
     /**
-     * Load @p program into processor @p p. Must precede run(). With
-     * MachineConfig::predecode the program's threaded-code twin is
-     * installed too: pass a shared @p decoded block (it must hash to
-     * this exact program — asserted) to reuse a cached decode, or
-     * leave it null to decode here. A null @p decoded with predecode
-     * off leaves the per-cycle interpreter alone.
+     * Load @p program into processor @p p. Must precede run(). The
+     * processor executes the program's decoded form, obtained from
+     * decodeProgram() (whose memo shares blocks between machines and
+     * checks content, not only the hash).
      */
-    void loadProgram(int p, isa::Program program,
-                     std::shared_ptr<const DecodedProgram> decoded =
-                         nullptr);
+    void loadProgram(int p, isa::Program program);
 
     /** Load the same program into every processor (one shared decode). */
     void loadAllPrograms(const isa::Program &program);
-
-    /** The threaded-code block installed for processor @p p (null
-     * when predecode is off or no program is loaded). Exposed so
-     * tests can verify cached blocks are shared, not re-decoded. */
-    std::shared_ptr<const DecodedProgram> decodedProgram(int p) const;
 
     /** Access shared memory for setup/inspection. */
     SharedMemory &memory() { return *_memory; }
@@ -216,11 +208,14 @@ class Machine : public ExecutionObserver
 
     /**
      * Run until every processor halts, a deadlock is detected, or the
-     * cycle guard trips. With a @p driver (installed by
-     * exec::ShardedMachine), processors additionally run ahead of the
-     * global clock through provably private ticks, bounded by
-     * MachineConfig::shardQuantum; results are byte-identical either
-     * way.
+     * cycle guard trips. With MachineConfig::fastForward (the default)
+     * this is the windowed engine: processors run ahead of the global
+     * clock through provably private ticks, and cycles in which no
+     * core can act are skipped. A @p driver (installed by
+     * exec::ShardedMachine) spreads each window over host threads,
+     * bounded by MachineConfig::shardQuantum. Without fastForward it
+     * is the per-cycle reference loop. Results are byte-identical
+     * across all of these.
      */
     RunResult run(ShardWindowDriver *driver = nullptr);
 
@@ -369,16 +364,70 @@ class Machine : public ExecutionObserver
 
     std::string describeState() const;
 
+    /** What one iteration of run() observed (see the phases below). */
+    struct CycleOutcome
+    {
+        bool allHalted = true;  ///< no core can ever tick again
+        bool progress = false;  ///< some core, delivery or recovery moved
+        int delivered = 0;      ///< processors synchronized this cycle
+        bool recovered = false; ///< the watchdog fenced a processor
+    };
+
+    // The phases of one run() iteration, in order. Each works on
+    // _now; only advanceFast() moves the clock beyond the next cycle.
+
+    /** Apply the fault injector's actions due at _now. */
+    void injectFaults();
+
+    /** Tick every active processor once, in ascending order. */
+    void stepCores(CycleOutcome &c);
+
+    /** Evaluate the barrier network and record completed episodes. */
+    void deliverEpisodes(CycleOutcome &c);
+
+    /** One SyncRecord per tag group of the cycle's delivery. */
+    void recordEpisodes();
+
+    /** Append _now's barrier states to the trace. */
+    void traceCycle(bool delivered);
+
+    /** Run the watchdog; fence and recover any dead processor. */
+    void watchdogCycle(CycleOutcome &c);
+
+    /** True if nothing can ever make progress again. */
+    bool deadlocked(const CycleOutcome &c) const;
+
     /**
-     * Fast-forward: the earliest cycle after _now at which the loop
-     * body does anything beyond fixed wait accounting — the minimum
-     * over every active processor's nextEventCycle(), the network's
-     * pending delivery, the injector's next action, and the
-     * watchdog's next deadline. UINT64_MAX means no future event is
-     * scheduled (the next cycle decides deadlock / completion, so the
-     * caller must single-step, never skip).
+     * The windowed engine's advance: run private ticks ahead of the
+     * clock in a window (inline, or spread over @p driver's threads),
+     * then skip the clock to just before the next cycle the loop body
+     * must observe.
      */
-    std::uint64_t nextInterestingCycle() const;
+    void advanceFast(ShardWindowDriver *driver, std::uint64_t quantum,
+                     const CycleOutcome &c);
+
+    /** End of the current window: no core may run into a cycle where
+     * a global action (fault, watchdog, checkpoint, end) could touch
+     * it. */
+    std::uint64_t windowBound(std::uint64_t quantum) const;
+
+    /** True if some active core can run a private tick below
+     * @p window (publishes the private-read horizons first). */
+    bool windowUseful(std::uint64_t window);
+
+    /** The cycle the clock may skip to: the earliest cycle after _now
+     * at which some core, delivery, fault or watchdog acts. */
+    std::uint64_t skipTarget(const CycleOutcome &c) const;
+
+    /** Bulk-account the wait cycles below @p target, unless the skip
+     * would hide a deadlock the per-cycle loop reports. */
+    void skipWait(std::uint64_t target);
+
+    /** Hand a checkpoint to the installed sink if one is due at _now. */
+    void maybeCheckpoint();
+
+    /** Fill @p result from the machine's counters at the end of run(). */
+    void collectResult(RunResult &result) const;
 
     /** Fence the dead processors and run mask-shrink on survivors. */
     void applyRecovery(const std::vector<int> &dead, std::uint64_t now);
@@ -390,8 +439,7 @@ class Machine : public ExecutionObserver
     std::vector<std::unique_ptr<DataCache>> _caches;
     std::vector<std::unique_ptr<Port>> _ports;
     std::vector<isa::Program> _programs;
-    /** Threaded-code twins of _programs (null slots when predecode is
-     * off; shareable across machines via exec::ProgramCache). */
+    /** Decoded forms of _programs, the code the processors execute. */
     std::vector<std::shared_ptr<const DecodedProgram>> _decodedPrograms;
     std::vector<std::unique_ptr<Processor>> _processors;
     std::uint64_t _now = 0;
@@ -484,15 +532,22 @@ class Machine : public ExecutionObserver
     /** One episode's member set, for the membership oracle. */
     BitVector _memberScratch;
     /**
-     * Sharded-run skew cursors: _procNext[p] is the next global cycle
-     * whose tick processor p still owes. A processor with
-     * _procNext[p] > _now ran ahead through private ticks; the
-     * coordinator counts it as alive-and-progressing and skips its
-     * tick. All zero (and ignored) in sequential runs; not part of
-     * snapshots — windows never span a checkpoint boundary, so every
-     * processor is aligned whenever state is captured.
+     * Skew cursors: _procNext[p] is the next global cycle whose tick
+     * processor p still owes. A processor with _procNext[p] > _now
+     * ran ahead through private ticks in a window; the coordinator
+     * counts it as alive-and-progressing and skips its tick. The
+     * per-cycle loop never runs ahead, so there every cursor is
+     * _now + 1 after the tick. Not part of snapshots — windows never
+     * span a checkpoint boundary, so every processor is aligned
+     * whenever state is captured.
      */
     std::vector<std::uint64_t> _procNext;
+    /**
+     * Set after a window attempt that found no core able to run
+     * privately; cleared by a Progress tick, a delivery or a
+     * recovery (see windowUseful()).
+     */
+    bool _windowIdle = false;
     std::vector<barrier::BarrierState> _traceStates;
     std::vector<bool> _traceHalted;
     /** Per-processor halted-or-fenced flags handed to the watchdog.

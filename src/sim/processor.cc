@@ -8,16 +8,59 @@
 namespace fb::sim
 {
 
-using isa::Instruction;
 using isa::Opcode;
 
-Processor::Processor(int id, const isa::Program &program,
+namespace
+{
+
+// Two's-complement arithmetic without signed overflow: compute in
+// uint64_t, convert back (modular since C++20).
+std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+/** Quotient truncated toward zero; INT64_MIN / -1 wraps to
+ * INT64_MIN instead of trapping. @p b must be non-zero. */
+std::int64_t
+wrapDiv(std::int64_t a, std::int64_t b)
+{
+    return b == -1 ? wrapSub(0, a) : a / b;
+}
+
+/** Shift left by the low six bits of @p b. */
+std::int64_t
+wrapShl(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a)
+                                     << (b & 63));
+}
+
+} // namespace
+
+Processor::Processor(int id, const DecodedProgram &program,
                      barrier::BarrierUnit &unit, MemoryPort &mem,
                      int pipeline_depth, StallModel stall,
                      RandomSource jitter, double jitter_mean,
                      std::uint64_t interrupt_period,
                      std::int64_t isr_entry, int issue_width)
-    : _id(id), _program(program), _unit(unit), _mem(mem),
+    : _id(id), _code(&program), _unit(unit), _mem(mem),
       _pipelineDepth(pipeline_depth), _stall(stall), _jitter(jitter),
       _jitterMean(jitter_mean), _interruptPeriod(interrupt_period),
       _isrEntry(isr_entry), _issueWidth(issue_width),
@@ -25,7 +68,6 @@ Processor::Processor(int id, const isa::Program &program,
 {
     FB_ASSERT(pipeline_depth >= 1, "pipeline depth must be >= 1");
     FB_ASSERT(issue_width >= 1, "issue width must be >= 1");
-    FB_ASSERT(program.finalized(), "program must be finalized");
     FB_ASSERT(interrupt_period == 0 || isr_entry >= 0,
               "interrupts enabled but no ISR entry point");
 }
@@ -38,7 +80,6 @@ Processor::reset(int pipeline_depth, StallModel stall,
 {
     FB_ASSERT(pipeline_depth >= 1, "pipeline depth must be >= 1");
     FB_ASSERT(issue_width >= 1, "issue width must be >= 1");
-    FB_ASSERT(_program.finalized(), "program must be finalized");
     FB_ASSERT(interrupt_period == 0 || isr_entry >= 0,
               "interrupts enabled but no ISR entry point");
     _pipelineDepth = pipeline_depth;
@@ -74,39 +115,6 @@ Processor::reset(int pipeline_depth, StallModel stall,
 }
 
 bool
-Processor::bundleable(const isa::Instruction &instr)
-{
-    switch (instr.op) {
-      case Opcode::ADD:
-      case Opcode::SUB:
-      case Opcode::MUL:
-      case Opcode::DIV:
-      case Opcode::AND:
-      case Opcode::OR:
-      case Opcode::XOR:
-      case Opcode::SLT:
-      case Opcode::SHL:
-      case Opcode::SHR:
-      case Opcode::ADDI:
-      case Opcode::MULI:
-      case Opcode::SLTI:
-      case Opcode::LI:
-      case Opcode::MOV:
-      case Opcode::NOP:
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::JMP:
-        return true;
-      default:
-        // Memory ops (single port), barrier control, linkage, and
-        // HALT issue alone.
-        return false;
-    }
-}
-
-bool
 Processor::maybeInterrupt(std::uint64_t now)
 {
     if (_inIsr)
@@ -115,7 +123,7 @@ Processor::maybeInterrupt(std::uint64_t now)
     if (!periodic && !_forceInterrupt)
         return false;
     if (_isrEntry < 0 ||
-        static_cast<std::size_t>(_isrEntry) >= _program.size()) {
+        static_cast<std::size_t>(_isrEntry) >= _code->size()) {
         _forceInterrupt = false;  // nowhere to vector: drop it
         return false;
     }
@@ -247,7 +255,7 @@ Processor::nextEventCycle(std::uint64_t now) const
     // the machine's active pool and may complete the all-halted
     // termination check — an event, not a wait (skipping past it
     // would let a run that is about to finish sail on into future
-    // fault events the legacy loop never reaches).
+    // fault events the reference loop never reaches).
     if (_halted)
         return now + 1;
 
@@ -295,6 +303,19 @@ Processor::nextEventCycle(std::uint64_t now) const
 }
 
 bool
+Processor::privateLoad(const DecodedInsn &di, std::uint64_t now) const
+{
+    // A load is private when it provably cannot observe another
+    // core's store inside the window — its cycle lies strictly below
+    // the write horizon the Machine published for this window — and
+    // is timing-inert: an own-cache hit (no bus transaction, no
+    // allocation, sharer bit already recorded).
+    return now < _privReadHorizon &&
+           _mem.privateReadable(static_cast<std::size_t>(
+               wrapAdd(_regs[static_cast<std::size_t>(di.rs1)], di.imm)));
+}
+
+bool
 Processor::isPrivateTick(std::uint64_t now) const
 {
     // Halting (drops the core from the active pool), firing a pending
@@ -319,62 +340,40 @@ Processor::isPrivateTick(std::uint64_t now) const
         ((_interruptPeriod != 0 && now >= _nextInterrupt) ||
          _forceInterrupt)) {
         if (_isrEntry >= 0 &&
-            static_cast<std::size_t>(_isrEntry) < _program.size()) {
+            static_cast<std::size_t>(_isrEntry) < _code->size()) {
             pc = static_cast<std::size_t>(_isrEntry);
             in_isr = true;
         }
     }
 
     // Running off the end halts — machine-visible.
-    if (pc >= _program.size())
+    if (pc >= _code->size())
         return false;
 
-    const Instruction &instr = _program.at(pc);
-    switch (instr.op) {
-      case Opcode::LD:
-        // A load is private when it provably cannot observe another
-        // core's store inside the window — its cycle lies strictly
-        // below the write horizon the Machine published for this
-        // window — and is timing-inert: an own-cache hit (no bus
-        // transaction, no allocation, sharer bit already recorded).
-        // Everything else goes to the coordinator as before.
-        if (now >= _privReadHorizon ||
-            !_mem.privateReadable(static_cast<std::size_t>(
-                reg(instr.rs1) + instr.imm)))
-            return false;
-        break;
-      case Opcode::ST:
-      case Opcode::FAA:     // memory port (bus, caches, counters)
-      case Opcode::SETTAG:
-      case Opcode::SETMASK: // barrier-unit mutation
-      case Opcode::HALT:
+    // Memory stores, FAA, barrier-unit mutations and HALT go to the
+    // coordinator; so does a load that is not a private hit. Later
+    // bundle slots only accept ALU/branch ops and never change the
+    // effective region, so checking the leading slot suffices.
+    const DecodedInsn &di = _code->code[pc];
+    if (!di.privateOp && !(di.op == Opcode::LD && privateLoad(di, now)))
         return false;
-      default:
-        break;
-    }
-    // Later bundle slots only accept ALU/branch ops and never change
-    // the effective region, so checking the leading slot suffices.
 
     if (in_isr)
         return true;  // ISRs bypass the barrier structure entirely
     if (!_unit.participating())
         return true;  // tag 0: no barrier interaction at all
 
+    // Region instructions only touch the unit when they arm the
+    // arrival, which needs the NonBarrier state; once armed (or once
+    // the pulse is up) region execution is the fuzzy barrier's free
+    // overlap and is private. A non-region instruction with the unit
+    // mid-episode crosses, stalls or drains — all unit interactions —
+    // so only the idle unit lets it issue privately.
     const bool inherited = !_callStack.empty() && _callStack.back();
     const bool effective_region =
-        instr.inRegion || _markerRegion ||
-        instr.op == Opcode::BRENTER || inherited;
-    if (effective_region) {
-        // Region instructions only touch the unit when they arm the
-        // arrival, which needs the NonBarrier state; once armed (or
-        // once the pulse is up) region execution is the fuzzy
-        // barrier's free overlap and is private.
-        return _unit.state() != barrier::BarrierState::NonBarrier;
-    }
-    // A non-region instruction with the unit mid-episode crosses,
-    // stalls or drains — all unit interactions. Only the idle unit
-    // lets it issue privately.
-    return _unit.state() == barrier::BarrierState::NonBarrier;
+        di.staticRegion || _markerRegion || inherited;
+    return effective_region !=
+           (_unit.state() == barrier::BarrierState::NonBarrier);
 }
 
 std::uint64_t
@@ -382,10 +381,10 @@ Processor::runPrivate(std::uint64_t next, std::uint64_t stop)
 {
     while (next < stop && isPrivateTick(next)) {
         // A private tick implies Running, so the decoded loop's entry
-        // conditions are met whenever a decoded program is installed.
-        // Multi-issue cores keep the generic path: isPrivateTick only
-        // vouches for the leading bundle slot.
-        if (_decoded != nullptr && _issueWidth == 1) {
+        // conditions are met. Multi-issue cores keep the generic
+        // path: isPrivateTick only vouches for the leading bundle
+        // slot.
+        if (_issueWidth == 1) {
             const std::uint64_t advanced = runDecoded(next, stop);
             FB_ASSERT(advanced > next,
                       "decoded loop diverged from isPrivateTick on cpu "
@@ -407,37 +406,201 @@ Processor::runPrivate(std::uint64_t next, std::uint64_t stop)
 }
 
 /*
+ * Each opcode's semantics, written once. FB_OPCODE_SEMANTICS(X)
+ * expands X(NAME, statements) for every opcode in Opcode order;
+ * executeAt() expands it into a switch and runDecoded() into
+ * computed-goto handlers, so the per-cycle engine and the windowed
+ * engine execute the same code and differ only in when they issue.
+ * The statements see the instruction `di`, the cycle `now`, the
+ * running latency `cost` and `next_pc`. Arithmetic that may wrap is
+ * done in uint64_t (wrapAdd and friends): two's-complement results,
+ * no signed overflow.
+ */
+#define FB_R(idx) _regs[static_cast<std::size_t>(idx)]
+// r0 reads as 0 because nothing ever writes _regs[0].
+#define FB_WR(v)                                                       \
+    do {                                                               \
+        if (di.rd != 0)                                                \
+            FB_R(di.rd) = (v);                                         \
+    } while (0)
+#define FB_ADDR static_cast<std::size_t>(wrapAdd(FB_R(di.rs1), di.imm))
+#define FB_BRANCH_IF(cond)                                             \
+    if (cond)                                                          \
+        next_pc = static_cast<std::size_t>(di.imm);
+
+#define FB_OPCODE_SEMANTICS(X)                                         \
+    X(ADD, FB_WR(wrapAdd(FB_R(di.rs1), FB_R(di.rs2)));)                 \
+    X(SUB, FB_WR(wrapSub(FB_R(di.rs1), FB_R(di.rs2)));)                 \
+    X(MUL, FB_WR(wrapMul(FB_R(di.rs1), FB_R(di.rs2)));)                 \
+    X(DIV, {                                                           \
+        FB_ASSERT(FB_R(di.rs2) != 0, "division by zero at pc "          \
+                                         << _pc << " on cpu " << _id);  \
+        FB_WR(wrapDiv(FB_R(di.rs1), FB_R(di.rs2)));                     \
+    })                                                                 \
+    X(AND, FB_WR(FB_R(di.rs1) & FB_R(di.rs2));)                         \
+    X(OR, FB_WR(FB_R(di.rs1) | FB_R(di.rs2));)                          \
+    X(XOR, FB_WR(FB_R(di.rs1) ^ FB_R(di.rs2));)                         \
+    X(SLT, FB_WR(FB_R(di.rs1) < FB_R(di.rs2) ? 1 : 0);)                 \
+    X(SHL, FB_WR(wrapShl(FB_R(di.rs1), FB_R(di.rs2)));)                 \
+    X(SHR, FB_WR(FB_R(di.rs1) >> (FB_R(di.rs2) & 63));)                 \
+    X(ADDI, FB_WR(wrapAdd(FB_R(di.rs1), di.imm));)                      \
+    X(MULI, FB_WR(wrapMul(FB_R(di.rs1), di.imm));)                      \
+    X(SLTI, FB_WR(FB_R(di.rs1) < di.imm ? 1 : 0);)                      \
+    X(LI, FB_WR(di.imm);)                                              \
+    X(MOV, FB_WR(FB_R(di.rs1));)                                       \
+    X(LD, {                                                            \
+        /* Inside a window only a privateLoad() reaches this; the    \
+         * memory port then takes the deferred-statistics path. */    \
+        std::uint32_t mem_cycles = 0;                                  \
+        FB_WR(_mem.read(FB_ADDR, now, mem_cycles));                    \
+        cost += mem_cycles;                                            \
+    })                                                                 \
+    X(ST, {                                                            \
+        std::uint32_t mem_cycles = 0;                                  \
+        _mem.write(FB_ADDR, FB_R(di.rs2), now, mem_cycles);            \
+        cost += mem_cycles;                                            \
+    })                                                                 \
+    X(FAA, {                                                           \
+        /* Atomic within a cycle: processors are ticked in order,    \
+         * so the read-modify-write cannot interleave. */             \
+        const std::size_t addr = FB_ADDR;                              \
+        std::uint32_t read_cycles = 0;                                 \
+        const std::int64_t old = _mem.read(addr, now, read_cycles);    \
+        std::uint32_t write_cycles = 0;                                \
+        _mem.write(addr, wrapAdd(old, FB_R(di.rs2)), now,              \
+                   write_cycles);                                      \
+        FB_WR(old);                                                    \
+        cost += read_cycles;                                           \
+    })                                                                 \
+    X(BEQ, FB_BRANCH_IF(FB_R(di.rs1) == FB_R(di.rs2)))                 \
+    X(BNE, FB_BRANCH_IF(FB_R(di.rs1) != FB_R(di.rs2)))                 \
+    X(BLT, FB_BRANCH_IF(FB_R(di.rs1) < FB_R(di.rs2)))                  \
+    X(BGE, FB_BRANCH_IF(FB_R(di.rs1) >= FB_R(di.rs2)))                 \
+    X(JMP, next_pc = static_cast<std::size_t>(di.imm);)                \
+    X(CALL, {                                                          \
+        FB_ASSERT(_callStack.size() < 4096,                            \
+                  "call stack overflow on cpu " << _id);               \
+        FB_WR(static_cast<std::int64_t>(_pc + 1));                     \
+        _callStack.push_back(_issueEffRegion);                         \
+        next_pc = static_cast<std::size_t>(di.imm);                    \
+    })                                                                 \
+    X(RET, {                                                           \
+        FB_ASSERT(!_callStack.empty(),                                 \
+                  "RET without matching CALL on cpu " << _id);         \
+        _callStack.pop_back();                                         \
+        next_pc = static_cast<std::size_t>(FB_R(di.rs1));              \
+    })                                                                 \
+    X(IRET, {                                                          \
+        FB_ASSERT(_inIsr, "IRET outside an interrupt service routine"); \
+        _inIsr = false;                                                \
+        next_pc = _savedPc;                                            \
+    })                                                                 \
+    X(SETTAG, _unit.setTag(static_cast<std::uint32_t>(di.imm));)       \
+    X(SETMASK, {                                                       \
+        /* imm -1 is the wide form: every processor in the machine   \
+         * (the 64-bit literal mask cannot name processors >= 63). */ \
+        if (di.imm == -1)                                              \
+            _unit.setMaskAll();                                        \
+        else                                                           \
+            _unit.setMask(static_cast<std::uint64_t>(di.imm));         \
+    })                                                                 \
+    X(BRENTER, {                                                       \
+        FB_ASSERT(!_inIsr, "region markers are not allowed inside ISRs"); \
+        _markerRegion = true;                                          \
+    })                                                                 \
+    X(BREXIT, {                                                        \
+        FB_ASSERT(!_inIsr, "region markers are not allowed inside ISRs"); \
+        _markerRegion = false;                                         \
+    })                                                                 \
+    X(NOP, )                                                           \
+    X(HALT, _halted = true;)
+
+namespace
+{
+
+// The computed-goto table is indexed by opcode value, so the
+// semantics table must list every opcode exactly in Opcode order.
+#define FB_LIST_OPCODE(name, ...) Opcode::name,
+constexpr Opcode kSemanticsOrder[] = {
+    FB_OPCODE_SEMANTICS(FB_LIST_OPCODE)};
+#undef FB_LIST_OPCODE
+
+constexpr bool
+semanticsInOpcodeOrder()
+{
+    for (std::size_t i = 0; i < std::size(kSemanticsOrder); ++i) {
+        if (static_cast<std::size_t>(kSemanticsOrder[i]) != i)
+            return false;
+    }
+    return kSemanticsOrder[std::size(kSemanticsOrder) - 1] ==
+           Opcode::HALT;
+}
+static_assert(semanticsInOpcodeOrder(),
+              "FB_OPCODE_SEMANTICS must list every opcode in order");
+
+} // namespace
+
+void
+Processor::retire(std::uint32_t cost, std::size_t next_pc,
+                  bool effective_region, std::uint64_t now)
+{
+    if (_jitterMean > 0.0)
+        cost += static_cast<std::uint32_t>(_jitter.nextJitter(_jitterMean));
+    _pc = next_pc;
+    _lastIssueCost = cost;
+    ++_instructions;
+    _busyCycles = cost > 0 ? cost - 1 : 0;
+    // Track when this instruction leaves the pipeline, for readiness:
+    // the last execute cycle is now + cost - 1, and the instruction
+    // drains pipelineDepth - 1 cycles later.
+    if (!effective_region) {
+        _lastNonRegionComplete =
+            now + cost - 1 + static_cast<std::uint64_t>(_pipelineDepth) - 1;
+    }
+}
+
+void
+Processor::executeAt(const DecodedInsn &di, std::uint64_t now,
+                     bool effective_region)
+{
+    std::uint32_t cost = di.cost;
+    std::size_t next_pc = _pc + 1;
+    switch (di.op) {
+#define FB_CASE(name, ...)                                             \
+      case Opcode::name: {                                             \
+        __VA_ARGS__                                                    \
+        break;                                                         \
+      }
+        FB_OPCODE_SEMANTICS(FB_CASE)
+#undef FB_CASE
+    }
+    retire(cost, next_pc, effective_region, now);
+}
+
+/*
  * Threaded-code dispatch for the decoded private loop. With GNU
- * labels-as-values each pre-decoded opcode jumps straight to its
- * handler through a flat label table; elsewhere the same handler
- * bodies compile as a dense switch.
+ * labels-as-values each opcode jumps straight to its handler through
+ * a flat label table; elsewhere the same handlers compile as a dense
+ * switch.
  */
 #if defined(__GNUC__) || defined(__clang__)
 #define FB_THREADED_DISPATCH 1
-#define FB_OP(name) op_##name:
-#define FB_DONE goto op_issued
 #else
 #define FB_THREADED_DISPATCH 0
-#define FB_OP(name) case Opcode::name:
-#define FB_DONE break
 #endif
 
 std::uint64_t
 Processor::runDecoded(std::uint64_t next, std::uint64_t stop)
 {
-    const DecodedInsn *const code = _decoded->code.data();
-    const std::size_t code_size = _decoded->code.size();
+    const DecodedInsn *const code = _code->code.data();
+    const std::size_t code_size = _code->code.size();
 
 #if FB_THREADED_DISPATCH
-    // Indexed by Opcode value; the excluded (non-private) opcodes
-    // share a panicking handler — they can never reach the dispatch.
-    const void *const labels[] = {
-        &&op_ADD, &&op_SUB, &&op_MUL, &&op_DIV, &&op_AND, &&op_OR,
-        &&op_XOR, &&op_SLT, &&op_SHL, &&op_SHR, &&op_ADDI, &&op_MULI,
-        &&op_SLTI, &&op_LI, &&op_MOV, &&op_LD, &&op_ST, &&op_FAA,
-        &&op_BEQ, &&op_BNE, &&op_BLT, &&op_BGE, &&op_JMP, &&op_CALL,
-        &&op_RET, &&op_IRET, &&op_SETTAG, &&op_SETMASK, &&op_BRENTER,
-        &&op_BREXIT, &&op_NOP, &&op_HALT};
+#define FB_LABEL(name, ...) &&op_##name,
+    // Indexed by Opcode value. The non-private opcodes never reach
+    // the dispatch: the check before it ends the stretch.
+    static const void *const labels[] = {FB_OPCODE_SEMANTICS(FB_LABEL)};
+#undef FB_LABEL
 #endif
 
     // Loop constants. During a private stretch the unit's tag and the
@@ -449,8 +612,6 @@ Processor::runDecoded(std::uint64_t next, std::uint64_t stop)
     const bool participating = _unit.participating();
     const bool non_barrier =
         _unit.state() == barrier::BarrierState::NonBarrier;
-    const std::uint64_t drain =
-        static_cast<std::uint64_t>(_pipelineDepth) - 1;
 
     while (next < stop) {
         if (_busyCycles > 0) {
@@ -488,9 +649,7 @@ Processor::runDecoded(std::uint64_t next, std::uint64_t stop)
             break;  // running off the end halts — machine-visible
         const DecodedInsn &di = code[pc];
         if (!di.privateOp &&
-            !(di.op == Opcode::LD && next < _privReadHorizon &&
-              _mem.privateReadable(static_cast<std::size_t>(
-                  _regs[static_cast<std::size_t>(di.rs1)] + di.imm))))
+            !(di.op == Opcode::LD && privateLoad(di, next)))
             break;  // memory / barrier-control / HALT: coordinator's
 
         bool effective_region = false;
@@ -525,141 +684,41 @@ Processor::runDecoded(std::uint64_t next, std::uint64_t stop)
 
         std::uint32_t cost = di.cost;
         std::size_t next_pc = pc + 1;
-
-// Direct register-file access: r0 reads as 0 because nothing ever
-// writes _regs[0] (FB_WR guards rd != 0, mirroring executeAt).
-#define FB_R(idx) _regs[static_cast<std::size_t>(idx)]
-#define FB_WR(v)                                                       \
-    do {                                                               \
-        if (di.rd != 0)                                                \
-            FB_R(di.rd) = (v);                                         \
-    } while (0)
+        const std::uint64_t now = next;
 
 #if FB_THREADED_DISPATCH
+#define FB_HANDLER(name, ...)                                          \
+    op_##name : {                                                      \
+        __VA_ARGS__                                                    \
+        goto op_issued;                                                \
+    }
         goto *labels[static_cast<std::size_t>(di.op)];
-#else
-        switch (di.op) {
-#endif
-        FB_OP(ADD) FB_WR(FB_R(di.rs1) + FB_R(di.rs2)); FB_DONE;
-        FB_OP(SUB) FB_WR(FB_R(di.rs1) - FB_R(di.rs2)); FB_DONE;
-        FB_OP(MUL) FB_WR(FB_R(di.rs1) * FB_R(di.rs2)); FB_DONE;
-        FB_OP(DIV) {
-            FB_ASSERT(FB_R(di.rs2) != 0, "division by zero at pc "
-                                             << pc << " on cpu " << _id);
-            FB_WR(FB_R(di.rs1) / FB_R(di.rs2));
-            FB_DONE;
-        }
-        FB_OP(AND) FB_WR(FB_R(di.rs1) & FB_R(di.rs2)); FB_DONE;
-        FB_OP(OR) FB_WR(FB_R(di.rs1) | FB_R(di.rs2)); FB_DONE;
-        FB_OP(XOR) FB_WR(FB_R(di.rs1) ^ FB_R(di.rs2)); FB_DONE;
-        FB_OP(SLT) FB_WR(FB_R(di.rs1) < FB_R(di.rs2) ? 1 : 0); FB_DONE;
-        FB_OP(SHL) FB_WR(FB_R(di.rs1) << (FB_R(di.rs2) & 63)); FB_DONE;
-        FB_OP(SHR) FB_WR(FB_R(di.rs1) >> (FB_R(di.rs2) & 63)); FB_DONE;
-        FB_OP(ADDI) FB_WR(FB_R(di.rs1) + di.imm); FB_DONE;
-        FB_OP(MULI) FB_WR(FB_R(di.rs1) * di.imm); FB_DONE;
-        FB_OP(SLTI) FB_WR(FB_R(di.rs1) < di.imm ? 1 : 0); FB_DONE;
-        FB_OP(LI) FB_WR(di.imm); FB_DONE;
-        FB_OP(MOV) FB_WR(FB_R(di.rs1)); FB_DONE;
-        FB_OP(BEQ) {
-            if (FB_R(di.rs1) == FB_R(di.rs2))
-                next_pc = static_cast<std::size_t>(di.imm);
-            FB_DONE;
-        }
-        FB_OP(BNE) {
-            if (FB_R(di.rs1) != FB_R(di.rs2))
-                next_pc = static_cast<std::size_t>(di.imm);
-            FB_DONE;
-        }
-        FB_OP(BLT) {
-            if (FB_R(di.rs1) < FB_R(di.rs2))
-                next_pc = static_cast<std::size_t>(di.imm);
-            FB_DONE;
-        }
-        FB_OP(BGE) {
-            if (FB_R(di.rs1) >= FB_R(di.rs2))
-                next_pc = static_cast<std::size_t>(di.imm);
-            FB_DONE;
-        }
-        FB_OP(JMP) next_pc = static_cast<std::size_t>(di.imm); FB_DONE;
-        FB_OP(CALL) {
-            FB_ASSERT(_callStack.size() < 4096,
-                      "call stack overflow on cpu " << _id);
-            FB_WR(static_cast<std::int64_t>(pc + 1));
-            _callStack.push_back(_issueEffRegion);
-            next_pc = static_cast<std::size_t>(di.imm);
-            FB_DONE;
-        }
-        FB_OP(RET) {
-            FB_ASSERT(!_callStack.empty(),
-                      "RET without matching CALL on cpu " << _id);
-            _callStack.pop_back();
-            next_pc = static_cast<std::size_t>(FB_R(di.rs1));
-            FB_DONE;
-        }
-        FB_OP(IRET) {
-            FB_ASSERT(_inIsr, "IRET outside an interrupt service routine");
-            _inIsr = false;
-            next_pc = _savedPc;
-            FB_DONE;
-        }
-        FB_OP(BRENTER) {
-            FB_ASSERT(!_inIsr,
-                      "region markers are not allowed inside ISRs");
-            _markerRegion = true;
-            FB_DONE;
-        }
-        FB_OP(BREXIT) {
-            FB_ASSERT(!_inIsr,
-                      "region markers are not allowed inside ISRs");
-            _markerRegion = false;
-            FB_DONE;
-        }
-        FB_OP(NOP) FB_DONE;
-        FB_OP(LD) {
-            // Reached only through the private-load pre-check above
-            // (own-cache hit below the write horizon); the memory
-            // port routes it through the deferred-statistics path.
-            std::uint32_t mem_cycles = 0;
-            const std::size_t a =
-                static_cast<std::size_t>(FB_R(di.rs1) + di.imm);
-            FB_WR(_mem.read(a, next, mem_cycles));
-            cost += mem_cycles;
-            FB_DONE;
-        }
-        FB_OP(ST)
-        FB_OP(FAA)
-        FB_OP(SETTAG)
-        FB_OP(SETMASK)
-        FB_OP(HALT)
-        panic("non-private opcode reached the decoded dispatch");
-#if !FB_THREADED_DISPATCH
-        }
-#endif
-
-#if FB_THREADED_DISPATCH
+        FB_OPCODE_SEMANTICS(FB_HANDLER)
+#undef FB_HANDLER
     op_issued:
-#endif
-#undef FB_R
-#undef FB_WR
-
-        if (_jitterMean > 0.0)
-            cost += static_cast<std::uint32_t>(
-                _jitter.nextJitter(_jitterMean));
-        _pc = next_pc;
-        _lastIssueCost = cost;
-        ++_instructions;
-        _busyCycles = cost > 0 ? cost - 1 : 0;
-        if (!effective_region) {
-            _lastNonRegionComplete = next + cost - 1 + drain;
+#else
+#define FB_CASE(name, ...)                                             \
+      case Opcode::name: {                                             \
+        __VA_ARGS__                                                    \
+        break;                                                         \
+      }
+        switch (di.op) {
+            FB_OPCODE_SEMANTICS(FB_CASE)
         }
+#undef FB_CASE
+#endif
+        retire(cost, next_pc, effective_region, now);
         ++next;
     }
     return next;
 }
 
-#undef FB_OP
-#undef FB_DONE
 #undef FB_THREADED_DISPATCH
+#undef FB_OPCODE_SEMANTICS
+#undef FB_BRANCH_IF
+#undef FB_ADDR
+#undef FB_WR
+#undef FB_R
 
 void
 Processor::advanceWait(std::uint64_t cycles)
@@ -735,18 +794,18 @@ Processor::issueBundle(std::uint64_t now)
     TickResult result = TickResult::Progress;
 
     for (int slot = 0; slot < _issueWidth; ++slot) {
-        if (_halted || _pc >= _program.size()) {
+        if (_halted || _pc >= _code->size()) {
             if (slot == 0)
                 return issue(now);  // reports Halted properly
             break;
         }
-        const Instruction &next = _program.at(_pc);
+        const DecodedInsn &next = _code->code[_pc];
         if (slot > 0) {
-            if (!bundleable(next))
+            if (!next.bundleable)
                 break;
-            const Instruction &first_like = next;
-            // A bundle never spans a region boundary.
-            if (first_like.inRegion != _issueEffRegion)
+            // A bundle never spans a region boundary (no later slot
+            // is a BRENTER, so staticRegion is its region bit).
+            if (next.staticRegion != _issueEffRegion)
                 break;
             // Register hazards against earlier slots.
             bool hazard = false;
@@ -794,7 +853,7 @@ Processor::issueBundle(std::uint64_t now)
             break;
         // Marker/linkage/memory effects never occur past slot 0 by
         // construction; slot 0 with such an op still closes here.
-        if (slot == 0 && !bundleable(next))
+        if (slot == 0 && !next.bundleable)
             break;
     }
 
@@ -805,16 +864,15 @@ Processor::issueBundle(std::uint64_t now)
 TickResult
 Processor::issue(std::uint64_t now)
 {
-    if (_pc >= _program.size()) {
+    if (_pc >= _code->size()) {
         _halted = true;
         return TickResult::Halted;
     }
 
-    const Instruction &instr = _program.at(_pc);
+    const DecodedInsn &di = _code->code[_pc];
     const bool inherited = !_callStack.empty() && _callStack.back();
     const bool effective_region =
-        !_inIsr && (instr.inRegion || _markerRegion ||
-                    instr.op == Opcode::BRENTER || inherited);
+        !_inIsr && (di.staticRegion || _markerRegion || inherited);
     _issueEffRegion = effective_region;
 
     if (_inIsr) {
@@ -854,154 +912,8 @@ Processor::issue(std::uint64_t now)
         }
     }
 
-    std::uint32_t cost = executeAt(now);
-    _lastIssueCost = cost;
-    ++_instructions;
-    _busyCycles = cost > 0 ? cost - 1 : 0;
-
-    // Track when this instruction leaves the pipeline, for readiness:
-    // the last execute cycle is now + cost - 1, and the instruction
-    // drains pipelineDepth - 1 cycles later.
-    if (!effective_region) {
-        _lastNonRegionComplete =
-            now + cost - 1 + static_cast<std::uint64_t>(_pipelineDepth) - 1;
-    }
+    executeAt(di, now, effective_region);
     return TickResult::Progress;
-}
-
-std::uint32_t
-Processor::executeAt(std::uint64_t now)
-{
-    const Instruction &instr = _program.at(_pc);
-    std::uint32_t cost = static_cast<std::uint32_t>(baseLatency(instr.op));
-    std::size_t next_pc = _pc + 1;
-
-    auto rs1 = [&] { return reg(instr.rs1); };
-    auto rs2 = [&] { return reg(instr.rs2); };
-    auto write_rd = [&](std::int64_t v) {
-        if (instr.rd != 0)
-            _regs[static_cast<std::size_t>(instr.rd)] = v;
-    };
-
-    switch (instr.op) {
-      case Opcode::ADD: write_rd(rs1() + rs2()); break;
-      case Opcode::SUB: write_rd(rs1() - rs2()); break;
-      case Opcode::MUL: write_rd(rs1() * rs2()); break;
-      case Opcode::DIV: {
-        FB_ASSERT(rs2() != 0, "division by zero at pc " << _pc
-                                                        << " on cpu " << _id);
-        write_rd(rs1() / rs2());
-        break;
-      }
-      case Opcode::AND: write_rd(rs1() & rs2()); break;
-      case Opcode::OR: write_rd(rs1() | rs2()); break;
-      case Opcode::XOR: write_rd(rs1() ^ rs2()); break;
-      case Opcode::SLT: write_rd(rs1() < rs2() ? 1 : 0); break;
-      case Opcode::SHL: write_rd(rs1() << (rs2() & 63)); break;
-      case Opcode::SHR: write_rd(rs1() >> (rs2() & 63)); break;
-      case Opcode::ADDI: write_rd(rs1() + instr.imm); break;
-      case Opcode::MULI: write_rd(rs1() * instr.imm); break;
-      case Opcode::SLTI: write_rd(rs1() < instr.imm ? 1 : 0); break;
-      case Opcode::LI: write_rd(instr.imm); break;
-      case Opcode::MOV: write_rd(rs1()); break;
-
-      case Opcode::LD: {
-        std::size_t addr = static_cast<std::size_t>(rs1() + instr.imm);
-        std::uint32_t mem_cycles = 0;
-        write_rd(_mem.read(addr, now, mem_cycles));
-        cost += mem_cycles;
-        break;
-      }
-      case Opcode::ST: {
-        std::size_t addr = static_cast<std::size_t>(rs1() + instr.imm);
-        std::uint32_t mem_cycles = 0;
-        _mem.write(addr, rs2(), now, mem_cycles);
-        cost += mem_cycles;
-        break;
-      }
-      case Opcode::FAA: {
-        // Atomic within a cycle: processors are ticked sequentially,
-        // so the read-modify-write cannot interleave.
-        std::size_t addr = static_cast<std::size_t>(rs1() + instr.imm);
-        std::uint32_t read_cycles = 0;
-        std::int64_t old = _mem.read(addr, now, read_cycles);
-        std::uint32_t write_cycles = 0;
-        _mem.write(addr, old + rs2(), now, write_cycles);
-        write_rd(old);
-        cost += read_cycles;
-        break;
-      }
-
-      case Opcode::BEQ:
-        if (rs1() == rs2())
-            next_pc = static_cast<std::size_t>(instr.imm);
-        break;
-      case Opcode::BNE:
-        if (rs1() != rs2())
-            next_pc = static_cast<std::size_t>(instr.imm);
-        break;
-      case Opcode::BLT:
-        if (rs1() < rs2())
-            next_pc = static_cast<std::size_t>(instr.imm);
-        break;
-      case Opcode::BGE:
-        if (rs1() >= rs2())
-            next_pc = static_cast<std::size_t>(instr.imm);
-        break;
-      case Opcode::JMP:
-        next_pc = static_cast<std::size_t>(instr.imm);
-        break;
-      case Opcode::CALL:
-        FB_ASSERT(_callStack.size() < 4096,
-                  "call stack overflow on cpu " << _id);
-        write_rd(static_cast<std::int64_t>(_pc + 1));
-        _callStack.push_back(_issueEffRegion);
-        next_pc = static_cast<std::size_t>(instr.imm);
-        break;
-      case Opcode::RET:
-        FB_ASSERT(!_callStack.empty(),
-                  "RET without matching CALL on cpu " << _id);
-        _callStack.pop_back();
-        next_pc = static_cast<std::size_t>(rs1());
-        break;
-      case Opcode::IRET:
-        FB_ASSERT(_inIsr, "IRET outside an interrupt service routine");
-        _inIsr = false;
-        next_pc = _savedPc;
-        break;
-
-      case Opcode::SETTAG:
-        _unit.setTag(static_cast<std::uint32_t>(instr.imm));
-        break;
-      case Opcode::SETMASK:
-        // imm -1 is the wide form: every processor in the machine
-        // (the 64-bit literal mask cannot name processors >= 63).
-        if (instr.imm == -1)
-            _unit.setMaskAll();
-        else
-            _unit.setMask(static_cast<std::uint64_t>(instr.imm));
-        break;
-      case Opcode::BRENTER:
-        FB_ASSERT(!_inIsr, "region markers are not allowed inside ISRs");
-        _markerRegion = true;
-        break;
-      case Opcode::BREXIT:
-        FB_ASSERT(!_inIsr, "region markers are not allowed inside ISRs");
-        _markerRegion = false;
-        break;
-
-      case Opcode::NOP:
-        break;
-      case Opcode::HALT:
-        _halted = true;
-        break;
-    }
-
-    if (_jitterMean > 0.0)
-        cost += static_cast<std::uint32_t>(_jitter.nextJitter(_jitterMean));
-
-    _pc = next_pc;
-    return cost;
 }
 
 void
@@ -1062,7 +974,7 @@ Processor::decodeState(snapshot::Decoder &d)
     for (std::uint64_t &s : jitter_state)
         s = d.u64();
     _jitter.setState(jitter_state);
-    return d.ok() && _pc <= _program.size();
+    return d.ok() && _pc <= _code->size();
 }
 
 } // namespace fb::sim

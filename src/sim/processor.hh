@@ -90,7 +90,7 @@ class Processor
   public:
     /**
      * @param id processor index
-     * @param program finalized instruction stream
+     * @param program decoded instruction stream (see setProgram)
      * @param unit this processor's barrier hardware
      * @param mem timing port to the memory hierarchy
      * @param pipeline_depth in-order pipeline depth (>= 1)
@@ -98,7 +98,7 @@ class Processor
      * @param jitter per-instruction jitter source
      * @param jitter_mean mean jitter cycles (0 = none)
      */
-    Processor(int id, const isa::Program &program,
+    Processor(int id, const DecodedProgram &program,
               barrier::BarrierUnit &unit, MemoryPort &mem,
               int pipeline_depth, StallModel stall, RandomSource jitter,
               double jitter_mean, std::uint64_t interrupt_period = 0,
@@ -111,9 +111,8 @@ class Processor
      * Return every mutable field (registers, PC, FSM, pipeline and
      * interrupt machinery, counters) to its construction-time value
      * and take fresh timing parameters — equivalent to re-running the
-     * constructor against the same program reference and barrier
-     * unit. Machine reuse: the Machine resets the referenced program
-     * slot and unit separately, then calls this.
+     * constructor against the same barrier unit. Machine reuse: the
+     * Machine resets the unit and installs the program separately.
      */
     void reset(int pipeline_depth, StallModel stall, RandomSource jitter,
                double jitter_mean, std::uint64_t interrupt_period = 0,
@@ -151,7 +150,7 @@ class Processor
      * true for Progress (busy countdowns, pipeline drains, context
      * save/restore), false for BarrierWait (hardware stall, suspended
      * task) or Halted. The fast-forward core needs this to evaluate
-     * the legacy loop's deadlock condition for cycles it would skip:
+     * the reference loop's deadlock condition for cycles it would skip:
      * a machine whose waiters all report BarrierWait deadlocks on the
      * very next cycle, so no skip may jump past it.
      */
@@ -194,24 +193,19 @@ class Processor
      * Run consecutive private ticks from cycle @p next up to
      * (excluding) @p stop, returning the first cycle not executed —
      * either @p stop or the first cycle whose tick is not private.
-     * Busy countdowns are bulk-applied via advanceWait(), which is
-     * bit-identical to ticking them one by one. With a decoded
-     * program installed (and scalar issue), the stretch runs through
-     * the threaded-code loop instead of per-cycle tick() calls —
-     * same state transitions, same counters, same PRNG draws.
+     * A scalar core runs the stretch through the threaded-code loop
+     * (runDecoded); a multi-issue core ticks it cycle by cycle, with
+     * busy countdowns bulk-applied via advanceWait(). Either way the
+     * state transitions, counters and PRNG draws are those of tick().
      */
     std::uint64_t runPrivate(std::uint64_t next, std::uint64_t stop);
 
     /**
-     * Install (or clear, with nullptr) the pre-decoded twin of the
-     * bound program. The caller owns the DecodedProgram's lifetime
-     * (the Machine keeps a shared_ptr per slot) and guarantees it was
-     * decoded from the exact program this core executes.
+     * Install the program this core executes. The caller owns the
+     * DecodedProgram's lifetime (the Machine keeps a shared_ptr per
+     * slot); both engines read instructions only from it.
      */
-    void setDecoded(const DecodedProgram *decoded) { _decoded = decoded; }
-
-    /** True if @p instr may occupy a non-leading bundle slot. */
-    static bool bundleable(const isa::Instruction &instr);
+    void setProgram(const DecodedProgram &program) { _code = &program; }
 
     /**
      * Publish the private-read horizon for the coming shard window:
@@ -340,13 +334,27 @@ class Processor
     /** Begin a barrier-exit stall under the configured model. */
     TickResult beginStall(std::uint64_t now);
 
-    /** Per-instruction cost beyond the busy countdown already paid. */
-    std::uint32_t executeAt(std::uint64_t now);
+    /** Execute @p di (the instruction at _pc) after issue() cleared
+     * it past the barrier checks, then retire() it. */
+    void executeAt(const DecodedInsn &di, std::uint64_t now,
+                   bool effective_region);
+
+    /**
+     * Common tail of every issued instruction, on both engines: add
+     * jitter to @p cost, move to @p next_pc, count the instruction,
+     * start the busy countdown and, outside a region, note when it
+     * drains from the pipeline.
+     */
+    void retire(std::uint32_t cost, std::size_t next_pc,
+                bool effective_region, std::uint64_t now);
+
+    /** True if the load @p di at cycle @p now may run on the private
+     * path: below the read horizon and an own-cache hit. */
+    bool privateLoad(const DecodedInsn &di, std::uint64_t now) const;
 
     int _id;
-    const isa::Program &_program;
-    /** Pre-decoded twin of _program (optional; owned by the Machine). */
-    const DecodedProgram *_decoded = nullptr;
+    /** The program being executed (owned by the Machine). */
+    const DecodedProgram *_code;
     barrier::BarrierUnit &_unit;
     MemoryPort &_mem;
     int _pipelineDepth;

@@ -34,35 +34,19 @@ struct Variant
     double jitterMean = 0.0;
     std::uint64_t machineSeed = 1;
     sim::StallModel stall = sim::StallModel::hardware();
-    bool fastForward = true;  ///< event-driven core vs per-cycle loop
-    bool predecode = true;    ///< threaded-code backend vs legacy decode
+    bool fastForward = true;  ///< windowed engine vs per-cycle reference
     int shardCount = 1;       ///< host threads (exec::ShardedMachine)
     std::uint64_t shardQuantum = 0;  ///< skew window (0 = sequential)
     /** Sync network override; unset = DiffOptions::topology. */
     std::optional<barrier::Topology> topology;
 };
 
-/**
- * The programs of one encoding plus (optionally) their shared
- * pre-decoded blocks. With a program cache the decoded vector is
- * populated from the interned entries, so every pooled machine in a
- * campaign reuses one decode per distinct source; without it the
- * vector stays empty and loadProgram decodes privately.
- */
-struct ProgramSet
-{
-    std::vector<isa::Program> programs;
-    std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
-};
-
 Fingerprint
-runOnMachine(const Scenario &sc, const ProgramSet &set, sim::Machine &m)
+runOnMachine(const Scenario &sc, const std::vector<isa::Program> &programs,
+             sim::Machine &m)
 {
-    for (int p = 0; p < sc.procs(); ++p) {
-        const auto sp = static_cast<std::size_t>(p);
-        m.loadProgram(p, set.programs[sp],
-                      set.decoded.empty() ? nullptr : set.decoded[sp]);
-    }
+    for (int p = 0; p < sc.procs(); ++p)
+        m.loadProgram(p, programs[static_cast<std::size_t>(p)]);
     // ShardedMachine honors the machine's shard config and falls back
     // to the plain sequential run() when shardCount <= 1, so routing
     // every variant through it costs nothing for sequential variants.
@@ -77,9 +61,13 @@ runOnMachine(const Scenario &sc, const ProgramSet &set, sim::Machine &m)
     fp.deadDeclared = r.deadDeclared;
     std::sort(fp.deadDeclared.begin(), fp.deadDeclared.end());
     fp.membership = r.membershipViolation;
+    fp.cycles = r.cycles;
     for (int p = 0; p < sc.procs(); ++p) {
-        fp.episodes.push_back(
-            r.perProcessor[static_cast<std::size_t>(p)].barrierEpisodes);
+        const auto &ps = r.perProcessor[static_cast<std::size_t>(p)];
+        fp.episodes.push_back(ps.barrierEpisodes);
+        fp.instructions.push_back(ps.instructions);
+        fp.waitCycles.push_back(ps.barrierWaitCycles);
+        fp.stallCycles.push_back(ps.stallCycles);
         for (int reg : diffedRegs)
             fp.regs.push_back(m.processor(p).reg(reg));
     }
@@ -89,8 +77,8 @@ runOnMachine(const Scenario &sc, const ProgramSet &set, sim::Machine &m)
 }
 
 Fingerprint
-runVariant(const Scenario &sc, const ProgramSet &set, const Variant &v,
-           const DiffOptions &opt)
+runVariant(const Scenario &sc, const std::vector<isa::Program> &programs,
+           const Variant &v, const DiffOptions &opt)
 {
     sim::MachineConfig cfg;
     cfg.numProcessors = sc.procs();
@@ -102,7 +90,6 @@ runVariant(const Scenario &sc, const ProgramSet &set, const Variant &v,
     cfg.stall = v.stall;
     cfg.maxCycles = opt.maxCycles;
     cfg.fastForward = v.fastForward;
-    cfg.predecode = v.predecode && opt.predecode;
     cfg.shardCount = v.shardCount;
     cfg.shardQuantum = v.shardQuantum;
     cfg.topology = v.topology ? *v.topology : opt.topology;
@@ -115,10 +102,10 @@ runVariant(const Scenario &sc, const ProgramSet &set, const Variant &v,
 
     if (opt.machinePool) {
         auto lease = opt.machinePool->acquire(cfg);
-        return runOnMachine(sc, set, *lease);
+        return runOnMachine(sc, programs, *lease);
     }
     sim::Machine m(cfg);
-    return runOnMachine(sc, set, m);
+    return runOnMachine(sc, programs, m);
 }
 
 /**
@@ -272,6 +259,43 @@ diffAgainstBaseline(const Scenario &sc, const std::vector<int> &fatal,
     return "";
 }
 
+/**
+ * Hold the reference run to the baseline's timing: both ran the same
+ * machine, so every counter must match, fatal targets included.
+ */
+std::string
+diffCounters(const Fingerprint &base, const Fingerprint &fp)
+{
+    std::ostringstream oss;
+    if (fp.cycles != base.cycles) {
+        oss << "cycles diverge: " << fp.cycles << " vs baseline "
+            << base.cycles;
+        return oss.str();
+    }
+    if (fp.syncEvents != base.syncEvents) {
+        oss << "sync events diverge: " << fp.syncEvents
+            << " vs baseline " << base.syncEvents;
+        return oss.str();
+    }
+    const std::pair<const char *, std::vector<std::uint64_t> Fingerprint::*>
+        perProc[] = {{"episodes", &Fingerprint::episodes},
+                     {"instructions", &Fingerprint::instructions},
+                     {"barrier wait cycles", &Fingerprint::waitCycles},
+                     {"stall cycles", &Fingerprint::stallCycles}};
+    for (const auto &[what, field] : perProc) {
+        const auto &a = fp.*field;
+        const auto &b = base.*field;
+        for (std::size_t p = 0; p < a.size(); ++p) {
+            if (a[p] != b[p]) {
+                oss << what << " diverge: processor " << p << " "
+                    << a[p] << " vs baseline " << b[p];
+                return oss.str();
+            }
+        }
+    }
+    return "";
+}
+
 } // namespace
 
 std::uint64_t
@@ -355,11 +379,10 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
     const std::vector<int> fatal = sc.faults.fatalTargets();
 
     // Assemble both encodings up front. With an intern cache the
-    // assembled pair — and its pre-decoded blocks — is shared
-    // campaign-wide and only copied into the per-call vectors;
-    // otherwise assemble locally as before.
-    ProgramSet bits;
-    ProgramSet markers;
+    // assembled pair is shared campaign-wide and only copied into the
+    // per-call vectors; otherwise assemble locally.
+    std::vector<isa::Program> bits;
+    std::vector<isa::Program> markers;
     for (int p = 0; p < sc.procs(); ++p) {
         const auto &source = sc.sources[static_cast<std::size_t>(p)];
         isa::Program bitProg;
@@ -379,8 +402,6 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
             }
             bitProg = interned->bits;
             markerProg = interned->markers;
-            bits.decoded.push_back(interned->bitsDecoded);
-            markers.decoded.push_back(interned->markersDecoded);
         } else {
             std::string err;
             if (!isa::Assembler::assemble(source, bitProg, err)) {
@@ -401,8 +422,8 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
                  static_cast<std::int64_t>(bitProg.size()))) {
             return failed("setup", "ISR entry index outside program");
         }
-        markers.programs.push_back(std::move(markerProg));
-        bits.programs.push_back(std::move(bitProg));
+        markers.push_back(std::move(markerProg));
+        bits.push_back(std::move(bitProg));
     }
 
     const bool baseMarkers = sc.encoding == Encoding::Markers;
@@ -461,26 +482,13 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
         variants.push_back(v);
     }
     if (opt.legacyLoop) {
-        // Same machine as the baseline but on the per-cycle loop:
-        // every fuzzed scenario continuously cross-checks the
-        // event-driven fast-forward core against the legacy loop.
+        // Same machine as the baseline but on the per-cycle reference
+        // loop: every fuzzed scenario cross-checks the windowed engine
+        // against the reference, timing counters included.
         Variant v;
-        v.name = "core/legacy-loop";
+        v.name = "core/reference";
         v.markers = baseMarkers;
         v.fastForward = false;
-        variants.push_back(v);
-    }
-    if (opt.legacyDispatch && opt.predecode) {
-        // Same machine as the baseline but decoding instruction by
-        // instruction: every fuzzed scenario continuously cross-checks
-        // the pre-decoded threaded-code backend (with its macro-step
-        // windows) against the legacy interpreter. Skipped when the
-        // whole matrix already runs without predecode — the variant
-        // would duplicate the baseline.
-        Variant v;
-        v.name = "core/legacy-dispatch";
-        v.markers = baseMarkers;
-        v.predecode = false;
         variants.push_back(v);
     }
     if (opt.topologySweep) {
@@ -524,6 +532,10 @@ runDifferential(const Scenario &sc, const DiffOptions &opt)
         if (auto why = diffAgainstBaseline(sc, fatal, rep.baseline, fp);
             !why.empty())
             return failed(v.name, why);
+        if (!v.fastForward) {
+            if (auto why = diffCounters(rep.baseline, fp); !why.empty())
+                return failed(v.name, why);
+        }
     }
 
     if (opt.checkpointing) {

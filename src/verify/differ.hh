@@ -46,7 +46,18 @@ struct Fingerprint
     std::vector<int> deadDeclared;       ///< fenced by recovery (sorted)
     std::string membership;              ///< "" = fault-safety holds
 
-    /** FNV-1a hash over all fields, for compact replay output. */
+    /**
+     * Timing counters. Model variants legitimately change them, so
+     * only the per-cycle reference executor, which runs the
+     * baseline's exact machine, is held to them. Not part of hash().
+     */
+    std::uint64_t cycles = 0;
+    std::vector<std::uint64_t> instructions; ///< per processor
+    std::vector<std::uint64_t> waitCycles;   ///< barrierWaitCycles
+    std::vector<std::uint64_t> stallCycles;  ///< per processor
+
+    /** FNV-1a hash over the diffed fields above the timing counters,
+     * for compact replay output. */
     std::uint64_t hash() const;
 
     /** One-line summary (deterministic). */
@@ -61,8 +72,9 @@ struct DiffOptions
     bool softwareStall = true;          ///< Encore-style stall model
     bool jitter = true;                 ///< random execution drift
     bool multiIssue = true;             ///< VLIW width 4
-    bool legacyLoop = true;             ///< per-cycle loop (no fast-forward)
-    bool legacyDispatch = true;         ///< legacy interpreter (no predecode)
+    /** The per-cycle reference engine (fastForward off) on the
+     * baseline machine, held to every timing counter too. */
+    bool legacyLoop = true;
     /**
      * Topology-sweep cross-check: re-run the baseline model under a
      * tree and a cluster synchronization network. The topology only
@@ -105,14 +117,6 @@ struct DiffOptions
     int shards = 0;
     /** Skew quantum for the sharded executor (cycles). */
     std::uint64_t shardQuantum = 1024;
-
-    /**
-     * Master switch for the pre-decoded threaded-code backend: when
-     * false every executor in the matrix (baseline included) runs the
-     * legacy interpreter and the legacy-dispatch cross-check variant
-     * is skipped as redundant. The fbfuzz --no-predecode escape hatch.
-     */
-    bool predecode = true;
 
     /**
      * Optional campaign-engine hooks. When set, every variant runs on

@@ -176,23 +176,14 @@ class MachineSlot
     std::unique_ptr<sim::Machine> _owned;
 };
 
-/**
- * Assemble (or intern) the scenario's programs. With a cache the
- * interned pre-decoded blocks ride along so every machine below
- * shares one decode per source; without one the vector holds nulls
- * and loadProgram decodes privately.
- */
+/** Assemble (or intern) the scenario's programs. */
 bool
 buildPrograms(const Scenario &sc, exec::ProgramCache *program_cache,
-              std::vector<isa::Program> &programs,
-              std::vector<std::shared_ptr<const sim::DecodedProgram>>
-                  &decoded,
-              std::string &error)
+              std::vector<isa::Program> &programs, std::string &error)
 {
     for (int p = 0; p < sc.procs(); ++p) {
         const auto &source = sc.sources[static_cast<std::size_t>(p)];
         isa::Program prog;
-        std::shared_ptr<const sim::DecodedProgram> block;
         if (program_cache) {
             auto interned = program_cache->intern(source);
             if (!interned->ok) {
@@ -205,9 +196,6 @@ buildPrograms(const Scenario &sc, exec::ProgramCache *program_cache,
             prog = sc.encoding == Encoding::Markers
                        ? interned->markers
                        : interned->bits;
-            block = sc.encoding == Encoding::Markers
-                        ? interned->markersDecoded
-                        : interned->bitsDecoded;
         } else {
             std::string err;
             if (!isa::Assembler::assemble(source, prog, err)) {
@@ -220,7 +208,6 @@ buildPrograms(const Scenario &sc, exec::ProgramCache *program_cache,
                 prog = prog.toMarkerEncoding();
         }
         programs.push_back(std::move(prog));
-        decoded.push_back(std::move(block));
     }
     return true;
 }
@@ -244,18 +231,14 @@ checkResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
         return failed("scenario has no programs");
 
     std::vector<isa::Program> programs;
-    std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
-    if (std::string err;
-        !buildPrograms(sc, program_cache, programs, decoded, err))
+    if (std::string err; !buildPrograms(sc, program_cache, programs, err))
         return failed(std::move(err));
 
     const sim::MachineConfig base_cfg =
         baselineConfig(sc, fast_forward, max_cycles);
     auto load = [&](sim::Machine &m) {
-        for (int p = 0; p < sc.procs(); ++p) {
-            const auto sp = static_cast<std::size_t>(p);
-            m.loadProgram(p, programs[sp], decoded[sp]);
-        }
+        for (int p = 0; p < sc.procs(); ++p)
+            m.loadProgram(p, programs[static_cast<std::size_t>(p)]);
     };
 
     // A: the uninterrupted reference.
@@ -335,18 +318,14 @@ checkChainResumeEquivalence(const Scenario &sc, std::uint64_t k_seed,
         return failed("scenario has no programs");
 
     std::vector<isa::Program> programs;
-    std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
-    if (std::string err;
-        !buildPrograms(sc, program_cache, programs, decoded, err))
+    if (std::string err; !buildPrograms(sc, program_cache, programs, err))
         return failed(std::move(err));
 
     const sim::MachineConfig base_cfg =
         baselineConfig(sc, fast_forward, max_cycles);
     auto load = [&](sim::Machine &m) {
-        for (int p = 0; p < sc.procs(); ++p) {
-            const auto sp = static_cast<std::size_t>(p);
-            m.loadProgram(p, programs[sp], decoded[sp]);
-        }
+        for (int p = 0; p < sc.procs(); ++p)
+            m.loadProgram(p, programs[static_cast<std::size_t>(p)]);
     };
 
     // A: the uninterrupted reference.

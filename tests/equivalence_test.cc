@@ -1,14 +1,15 @@
 /**
  * @file
- * Differential equivalence suite for the event-driven fast-forward
- * core (INTERNALS section 14): every counter in RunResult must be
- * bit-identical between MachineConfig::fastForward = true and the
- * legacy per-cycle loop, across a large population of fuzz-generated
- * programs — including fault-plan and watchdog-recovery runs — and
- * across the machine's timing knobs (pipeline depth, stall model,
- * jitter, multi-issue, sync latency, interrupts). The corpus driver
- * (knobs, config assembly, run observer, exact-match oracle) lives in
- * tests/harness.hh, shared with the sharded and campaign suites.
+ * Differential equivalence suite for the two engines (INTERNALS
+ * section 14): every counter in RunResult must be bit-identical
+ * between the windowed engine (MachineConfig::fastForward = true) and
+ * the per-cycle reference loop, across a large population of
+ * fuzz-generated programs — including fault-plan and
+ * watchdog-recovery runs — and across the machine's timing knobs
+ * (pipeline depth, stall model, jitter, multi-issue, sync latency,
+ * interrupts). The corpus driver (knobs, config assembly, run
+ * observer, exact-match oracle) lives in tests/harness.hh, shared
+ * with the sharded and campaign suites.
  */
 
 #include <cstdint>
@@ -33,14 +34,30 @@ using namespace fb;
 using namespace fb::harness;
 
 /**
- * Run one seed's scenario under the legacy per-cycle interpreter
- * (the oracle), then under every backend combination the simulator
- * ships — fast-forward with the pre-decoded threaded-code dispatch
- * on and off, each at shard counts 1 and 4 — and require all of
- * them bit-identical. Predecoded runs reuse the ProgramCache's
- * interned threaded-code blocks when a cache is supplied, so the
- * sweep also covers Machine::loadProgram's shared-block path.
+ * Run @p sc under the per-cycle reference loop (the oracle), then on
+ * the fast engine at shard counts 1 and 4, and require every run
+ * bit-identical to the reference.
  */
+void
+checkAgainstReference(const verify::Scenario &sc,
+                      const std::vector<isa::Program> &programs,
+                      const Knobs &k, const std::string &ctx,
+                      exec::MachinePool *pool = nullptr,
+                      std::uint64_t machine_seed = 42)
+{
+    sim::MachineConfig ref_cfg = configFor(sc, k, false);
+    ref_cfg.seed = machine_seed;
+    const Observation reference = runOnce(sc, programs, ref_cfg, pool);
+    for (int shards : {1, 4}) {
+        sim::MachineConfig cfg = configFor(sc, k, true, shards);
+        cfg.seed = machine_seed;
+        expectIdentical(runOnce(sc, programs, cfg, pool), reference,
+                        ctx + " [fast shards=" + std::to_string(shards) +
+                            "]");
+    }
+}
+
+/** One corpus seed's scenario, reference against fast engine. */
 void
 checkSeed(std::uint64_t seed, bool with_faults,
           exec::MachinePool *pool = nullptr,
@@ -51,35 +68,10 @@ checkSeed(std::uint64_t seed, bool with_faults,
     if (with_faults)
         attachFaults(sc, corpusFaultSeed(seed));
     std::vector<isa::Program> programs;
-    std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
-    ASSERT_TRUE(assemblePrograms(sc, programs, cache, &decoded))
-        << "seed " << seed;
-
-    Knobs k = knobsFor(seed);
-    const std::string ctx = describeSeed(seed, with_faults, k);
-    Observation legacy = runOnce(
-        sc, programs, configFor(sc, k, false, /*predecode=*/false),
-        pool);
-
-    struct Variant
-    {
-        bool predecode;
-        int shards;
-        const char *name;
-    };
-    constexpr Variant variants[] = {
-        {true, 1, " [predecode shards=1]"},
-        {false, 1, " [legacy-dispatch shards=1]"},
-        {true, 4, " [predecode shards=4]"},
-        {false, 4, " [legacy-dispatch shards=4]"},
-    };
-    for (const Variant &v : variants) {
-        sim::MachineConfig cfg =
-            configFor(sc, k, true, v.predecode, v.shards);
-        Observation obs = runOnce(sc, programs, cfg, pool,
-                                  v.predecode ? &decoded : nullptr);
-        expectIdentical(obs, legacy, ctx + v.name);
-    }
+    ASSERT_TRUE(assemblePrograms(sc, programs, cache)) << "seed " << seed;
+    const Knobs k = knobsFor(seed);
+    checkAgainstReference(sc, programs, k,
+                          describeSeed(seed, with_faults, k), pool);
 }
 
 TEST(Equivalence, FastForwardMatchesLegacyOnFuzzPrograms)
@@ -194,62 +186,26 @@ TEST(Equivalence, DeadlockDetectionMatches)
     expectIdentical(ff, legacy, "fig2-deadlock");
 }
 
-TEST(Equivalence, ProgramCacheSharesDecodedBlocks)
+TEST(Equivalence, SkipAfterRecoveryMatchesReference)
 {
-    // The intern cache carries one threaded-code block per source ×
-    // encoding. Every pooled machine that loads the same interned
-    // source must install that exact block (pointer identity — no
-    // per-lease re-decode), and a block handed to a *different*
-    // program must be rejected by loadProgram's hash check rather
-    // than silently executed.
-    const std::string src_a =
-        "settag 1\nsetmask 3\n.region\nnop\n.endregion\nnop\nhalt\n";
-    const std::string src_b =
-        "settag 1\nsetmask 3\n.region\nnop\n.endregion\n"
-        "addi r1, r1, 7\nhalt\n";
-
-    exec::ProgramCache cache;
-    auto interned = cache.intern(src_a);
-    ASSERT_TRUE(interned->ok);
-    ASSERT_NE(interned->bitsDecoded, nullptr);
-    EXPECT_EQ(cache.intern(src_a)->bitsDecoded.get(),
-              interned->bitsDecoded.get());
-
-    verify::Scenario sc;
-    sc.groupSizes = {2};
-    sc.episodes = 1;
-    sc.sources = {src_a, src_a};
-    std::vector<isa::Program> programs;
-    std::vector<std::shared_ptr<const sim::DecodedProgram>> decoded;
-    ASSERT_TRUE(assemblePrograms(sc, programs, &cache, &decoded));
-    ASSERT_EQ(decoded.size(), 2u);
-    EXPECT_EQ(decoded[0].get(), interned->bitsDecoded.get());
-
-    exec::MachinePool pool;
-    Knobs k;
-    const sim::MachineConfig cfg = configFor(sc, k, true);
-    const sim::DecodedProgram *installed[2] = {nullptr, nullptr};
-    for (int lease = 0; lease < 2; ++lease) {
-        auto m = pool.acquire(cfg);
-        for (int p = 0; p < sc.procs(); ++p)
-            m->loadProgram(p, programs[static_cast<std::size_t>(p)],
-                           decoded[static_cast<std::size_t>(p)]);
-        installed[lease] = m->decodedProgram(0).get();
-        EXPECT_EQ(installed[lease], interned->bitsDecoded.get());
-        EXPECT_FALSE(m->run().deadlocked);
+    // Fault-plan scenarios as fbfuzz --faults derives them (fault
+    // seed = spec seed, watchdog 2000 cycles / 3 attempts) on the
+    // differ's baseline machine. In each, the watchdog fences a
+    // processor and the shrunk mask completes the survivors' group
+    // at the very next evaluate(). The fast engine once skipped that
+    // cycle, because survivors had run one private tick ahead in the
+    // recovery cycle's window, and ended one cycle late. Seed
+    // 607003166603 (plan kill@143:1) recovers at cycle 2132.
+    for (std::uint64_t seed : {248ull, 5389ull, 36888ull, 607003166603ull}) {
+        verify::Scenario sc = verify::render(verify::randomSpec(seed));
+        attachFaults(sc, seed);
+        std::vector<isa::Program> programs;
+        ASSERT_TRUE(assemblePrograms(sc, programs)) << "seed " << seed;
+        const Knobs k;
+        checkAgainstReference(sc, programs, k,
+                              describeSeed(seed, true, k), nullptr,
+                              /*machine_seed=*/1);
     }
-    // Both leases installed the one cached block.
-    EXPECT_EQ(installed[0], installed[1]);
-    EXPECT_GT(pool.reuses(), 0u);
-
-    // Wrong-program block: src_b assembles to a different program, so
-    // src_a's decode must not be accepted for it.
-    auto interned_b = cache.intern(src_b);
-    ASSERT_TRUE(interned_b->ok);
-    sim::Machine victim(cfg);
-    EXPECT_DEATH(victim.loadProgram(0, interned_b->bits,
-                                    interned->bitsDecoded),
-                 "decoded block does not match");
 }
 
 TEST(Equivalence, TimeoutMatches)

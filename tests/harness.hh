@@ -13,7 +13,6 @@
 #define FB_TESTS_HARNESS_HH
 
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "exec/sharded_machine.hh"
 #include "fault/plan.hh"
 #include "isa/assembler.hh"
-#include "sim/decoded.hh"
 #include "sim/machine.hh"
 #include "verify/scenario.hh"
 
@@ -65,7 +63,7 @@ knobsFor(std::uint64_t seed)
 
 inline sim::MachineConfig
 configFor(const verify::Scenario &sc, const Knobs &k, bool fast_forward,
-          bool predecode = true, int shards = 1)
+          int shards = 1)
 {
     sim::MachineConfig cfg;
     cfg.numProcessors = sc.procs();
@@ -80,7 +78,6 @@ configFor(const verify::Scenario &sc, const Knobs &k, bool fast_forward,
     cfg.interruptPeriod = sc.interruptPeriod;
     cfg.isrEntry = sc.isrEntry;
     cfg.fastForward = fast_forward;
-    cfg.predecode = predecode;
     if (shards > 1) {
         cfg.shardCount = shards;
         cfg.shardQuantum = 512;
@@ -133,15 +130,10 @@ struct Observation
  */
 inline Observation
 observeRun(const verify::Scenario &sc,
-           const std::vector<isa::Program> &programs, sim::Machine &m,
-           const std::vector<std::shared_ptr<const sim::DecodedProgram>>
-               *decoded = nullptr)
+           const std::vector<isa::Program> &programs, sim::Machine &m)
 {
-    for (int p = 0; p < sc.procs(); ++p) {
-        const auto sp = static_cast<std::size_t>(p);
-        m.loadProgram(p, programs[sp],
-                      decoded ? (*decoded)[sp] : nullptr);
-    }
+    for (int p = 0; p < sc.procs(); ++p)
+        m.loadProgram(p, programs[static_cast<std::size_t>(p)]);
     Observation obs;
     exec::ShardedMachine sharded(m);
     obs.result = sharded.run();
@@ -162,19 +154,17 @@ observeRun(const verify::Scenario &sc,
 inline Observation
 runOnce(const verify::Scenario &sc,
         const std::vector<isa::Program> &programs,
-        const sim::MachineConfig &cfg, exec::MachinePool *pool = nullptr,
-        const std::vector<std::shared_ptr<const sim::DecodedProgram>>
-            *decoded = nullptr)
+        const sim::MachineConfig &cfg, exec::MachinePool *pool = nullptr)
 {
     if (pool) {
         auto lease = pool->acquire(cfg);
-        return observeRun(sc, programs, *lease, decoded);
+        return observeRun(sc, programs, *lease);
     }
     sim::Machine m(cfg);
-    return observeRun(sc, programs, m, decoded);
+    return observeRun(sc, programs, m);
 }
 
-/** Knob-level convenience overload (fast-forward vs legacy core). */
+/** Knob-level convenience overload (fast engine vs reference). */
 inline Observation
 runOnce(const verify::Scenario &sc,
         const std::vector<isa::Program> &programs, const Knobs &k,
@@ -253,32 +243,22 @@ expectIdentical(const Observation &ff, const Observation &legacy,
 }
 
 /** Assemble the scenario's programs under its baseline encoding,
- * through the shared intern cache when @p cache is set. With
- * @p decoded, also hand back the cache's interned threaded-code
- * blocks (null per program without a cache), so sweeps exercise the
- * decoded-block sharing path of Machine::loadProgram. */
+ * through the shared intern cache when @p cache is set. */
 inline bool
 assemblePrograms(const verify::Scenario &sc,
                  std::vector<isa::Program> &out,
-                 exec::ProgramCache *cache = nullptr,
-                 std::vector<std::shared_ptr<const sim::DecodedProgram>>
-                     *decoded = nullptr)
+                 exec::ProgramCache *cache = nullptr)
 {
     for (int p = 0; p < sc.procs(); ++p) {
         const auto &source = sc.sources[static_cast<std::size_t>(p)];
         isa::Program prog;
-        std::shared_ptr<const sim::DecodedProgram> block;
         if (cache) {
             auto interned = cache->intern(source);
             if (!interned->ok)
                 return false;
-            if (sc.encoding == verify::Encoding::Markers) {
-                prog = interned->markers;
-                block = interned->markersDecoded;
-            } else {
-                prog = interned->bits;
-                block = interned->bitsDecoded;
-            }
+            prog = sc.encoding == verify::Encoding::Markers
+                       ? interned->markers
+                       : interned->bits;
         } else {
             std::string err;
             if (!isa::Assembler::assemble(source, prog, err))
@@ -286,8 +266,6 @@ assemblePrograms(const verify::Scenario &sc,
             if (sc.encoding == verify::Encoding::Markers)
                 prog = prog.toMarkerEncoding();
         }
-        if (decoded)
-            decoded->push_back(std::move(block));
         out.push_back(std::move(prog));
     }
     return true;

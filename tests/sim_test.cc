@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -166,6 +167,51 @@ TEST(DecodeMemo, ProgramChangedAfterFinalizeGetsItsOwnBlock)
         m.loadProgram(0, *prog);
         m.run();
         EXPECT_EQ(m.memory().peek(100), want);
+    }
+}
+
+TEST(Machine, AluWrapsOnSignedOverflowOnBothEngines)
+{
+    // ADD, SUB, MUL, ADDI, MULI, SHL and DIV wrap in two's complement
+    // (INT64_MIN / -1 used to trap with SIGFPE). The leading NOP makes
+    // the windowed engine run every ALU op in its threaded-code loop,
+    // and the per-cycle reference issues each one from tick(); both
+    // expand the same opcode handlers.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    const isa::Program prog = assembleOrDie(R"(
+        nop
+        addi r2, r1, 1
+        add r3, r1, r1
+        sub r4, r2, r5
+        mul r6, r1, r1
+        muli r7, r1, 3
+        shl r8, r5, r9
+        shl r10, r11, r9
+        div r12, r8, r11
+        halt
+    )");
+    for (bool fast : {true, false}) {
+        MachineConfig cfg = smallConfig(1);
+        cfg.fastForward = fast;
+        Machine m(cfg);
+        m.loadProgram(0, prog);
+        Processor &p = m.processor(0);
+        p.setReg(1, kMax);
+        p.setReg(5, 1);
+        p.setReg(9, 63);
+        p.setReg(11, -1);
+        const auto result = m.run();
+        ASSERT_FALSE(result.deadlocked);
+        const std::string engine = fast ? "fast" : "reference";
+        EXPECT_EQ(p.reg(2), kMin) << engine;          // INT64_MAX + 1
+        EXPECT_EQ(p.reg(3), -2) << engine;            // INT64_MAX * 2
+        EXPECT_EQ(p.reg(4), kMax) << engine;          // INT64_MIN - 1
+        EXPECT_EQ(p.reg(6), 1) << engine;             // INT64_MAX ^ 2
+        EXPECT_EQ(p.reg(7), kMax - 2) << engine;      // INT64_MAX * 3
+        EXPECT_EQ(p.reg(8), kMin) << engine;          // 1 << 63
+        EXPECT_EQ(p.reg(10), kMin) << engine;         // -1 << 63
+        EXPECT_EQ(p.reg(12), kMin) << engine;         // INT64_MIN / -1
     }
 }
 

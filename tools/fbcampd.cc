@@ -24,7 +24,6 @@
  *
  * Campaign options (exactly fbfuzz's): --seed --runs --no-swref
  *   --faults --fault-seed --max-cycles --shards N[:QUANTUM]
- *   --no-predecode
  * Service options: --workers N (default 2), --jobs N (threads inside
  *   each worker), --lease N, --hb-interval MS, --hb-timeout MS,
  *   --svc-fault SPEC (injected process/transport faults; see
@@ -122,9 +121,7 @@ parseArgs(int argc, char **argv)
                     usage("--shards quantum must be >= 1");
                 opt.shardQuantum = static_cast<std::uint64_t>(q);
             }
-        } else if (arg == "--no-predecode")
-            opt.predecode = false;
-        else if (arg == "--cursor")
+        } else if (arg == "--cursor")
             opt.cursorFile = next();
         else if (arg == "--cursor-compact") {
             std::int64_t n = nextInt();

@@ -42,14 +42,6 @@
  *                  threads under a QUANTUM-cycle skew window (default
  *                  1024) and must reproduce the baseline fingerprint
  *                  exactly (see exec::ShardedMachine)
- *   --no-predecode run every executor on the legacy instruction-by-
- *                  instruction interpreter instead of the pre-decoded
- *                  threaded-code backend (also drops the
- *                  legacy-dispatch cross-check variant, which would
- *                  duplicate the baseline). Results are identical;
- *                  the flag is recorded in --cursor journals, so a
- *                  campaign cannot silently resume under the other
- *                  backend
  *   --jobs N       fuzz seeds on N worker threads; every seed in the
  *                  range is scanned (no stop at the first failure)
  *                  and results are reported in seed order, so the
@@ -213,9 +205,7 @@ parseArgs(int argc, char **argv)
                     usage("--shards quantum must be >= 1");
                 opt.shardQuantum = static_cast<std::uint64_t>(q);
             }
-        } else if (arg == "--no-predecode")
-            opt.predecode = false;
-        else if (arg == "--topology") {
+        } else if (arg == "--topology") {
             if (!barrier::Topology::parse(next(), opt.topology))
                 usage("--topology expects flat, tree:ARITY[:LVL] or "
                       "cluster:SIZE[:LVL]");

@@ -35,17 +35,10 @@
  *   --watchdog T[:A]     barrier watchdog: timeout cycles and re-arm
  *                        attempts (default attempts 3)
  *   --max-cycles N       runaway guard (default 200M)
- *   --no-fast-forward    force the legacy per-cycle loop instead of
- *                        the event-driven fast-forward core (results
- *                        are identical; useful for timing comparisons
- *                        and as a differential cross-check)
- *   --no-predecode       force the legacy instruction-by-instruction
- *                        interpreter instead of the pre-decoded
- *                        threaded-code backend (results are
- *                        identical). Composes with --no-fast-forward:
- *                        all four combinations are valid and
- *                        byte-identical; predecode's macro-step only
- *                        engages when fast-forward is also on
+ *   --no-fast-forward    run the per-cycle reference loop instead of
+ *                        the windowed engine (results are identical;
+ *                        useful for timing comparisons and as a
+ *                        differential cross-check)
  *   --shards N[:QUANTUM] advance the machine across N host threads
  *                        with QUANTUM cycles of permitted skew
  *                        (default 1024); results are byte-identical
@@ -151,7 +144,6 @@ struct Options
     std::size_t traceWidth = 100;
     bool checkOnly = false;
     bool fastForward = true;
-    bool predecode = true;
     int shards = 1;
     std::uint64_t shardQuantum = 1024;
     std::uint64_t maxCycles = 200'000'000;
@@ -302,8 +294,6 @@ parseArgs(int argc, char **argv)
                 parseIntOrDie(next(), "--max-cycles"));
         } else if (arg == "--no-fast-forward") {
             opt.fastForward = false;
-        } else if (arg == "--no-predecode") {
-            opt.predecode = false;
         } else if (arg == "--shards") {
             auto parts = split(next(), ':');
             if (parts.empty() || parts.size() > 2)
@@ -458,7 +448,6 @@ main(int argc, char **argv)
     cfg.topology = opt.topology;
     cfg.maxCycles = opt.maxCycles;
     cfg.fastForward = opt.fastForward;
-    cfg.predecode = opt.predecode;
     cfg.shardCount = opt.shards;
     cfg.shardQuantum = opt.shards > 1 ? opt.shardQuantum : 0;
     cfg.traceBarrierStates = opt.trace;

@@ -44,7 +44,6 @@ struct CampaignConfig
     std::uint64_t maxCycles = 5'000'000;
     int shards = 0;  ///< 0 = no sharded executor in the matrix
     std::uint64_t shardQuantum = 1024;
-    bool predecode = true;  ///< threaded-code backend for every executor
     /** Baseline sync-network shape for every executor (--topology). */
     fb::barrier::Topology topology;
 };
@@ -79,7 +78,6 @@ diffOptions(const CampaignConfig &cfg)
     d.maxCycles = cfg.maxCycles;
     d.shards = cfg.shards;
     d.shardQuantum = cfg.shardQuantum;
-    d.predecode = cfg.predecode;
     d.topology = cfg.topology;
     return d;
 }
@@ -99,7 +97,6 @@ cursorHeader(const CampaignConfig &cfg)
         << " swref=" << (cfg.swref ? 1 : 0)
         << " max-cycles=" << cfg.maxCycles
         << " shards=" << cfg.shards << ":" << cfg.shardQuantum
-        << " predecode=" << (cfg.predecode ? 1 : 0)
         << " topology=" << cfg.topology.toString();
     return oss.str();
 }
@@ -116,8 +113,6 @@ reproduceFlags(const CampaignConfig &cfg)
     }
     if (cfg.shards >= 2)
         out << " --shards " << cfg.shards << ":" << cfg.shardQuantum;
-    if (!cfg.predecode)
-        out << " --no-predecode";
     if (!cfg.topology.flat())
         out << " --topology " << cfg.topology.toString();
     return out.str();
