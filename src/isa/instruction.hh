@@ -37,6 +37,8 @@ struct Instruction
     std::int64_t imm = 0;  ///< immediate / branch target / address offset
     bool inRegion = false; ///< barrier-region bit
 
+    bool operator==(const Instruction &) const = default;
+
     /** Build a three-register ALU instruction. */
     static Instruction rrr(Opcode op, int rd, int rs1, int rs2);
 

@@ -112,6 +112,13 @@ class Program
         return _contentHash ? *_contentHash : hashCode();
     }
 
+    /** True if @p other has the same instructions and barrier ids
+     * (labels aside): everything a machine loading it reads. */
+    bool sameCode(const Program &other) const
+    {
+        return _instrs == other._instrs && _barrierIds == other._barrierIds;
+    }
+
     /** Logical barrier id of instruction @p idx (-1 if none). */
     int barrierId(std::size_t idx) const;
 

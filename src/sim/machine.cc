@@ -12,6 +12,23 @@
 namespace fb::sim
 {
 
+namespace
+{
+
+/** The finalized empty program every slot holds until a load. */
+const std::shared_ptr<const isa::Program> &
+emptyProgram()
+{
+    static const std::shared_ptr<const isa::Program> empty = [] {
+        auto prog = std::make_shared<isa::Program>();
+        prog->finalize();
+        return std::shared_ptr<const isa::Program>(std::move(prog));
+    }();
+    return empty;
+}
+
+} // namespace
+
 std::uint64_t
 RunResult::totalBarrierWait() const
 {
@@ -173,11 +190,10 @@ Machine::Machine(const MachineConfig &config) : _config(config)
     _network = std::make_unique<barrier::BarrierNetwork>(
         config.numProcessors, config.syncLatency, config.topology);
 
-    _programs.resize(static_cast<std::size_t>(config.numProcessors));
-    for (auto &prog : _programs)
-        prog.finalize();
+    _programs.assign(static_cast<std::size_t>(config.numProcessors),
+                     emptyProgram());
     _decodedPrograms.assign(static_cast<std::size_t>(config.numProcessors),
-                            decodeProgram(_programs.front()));
+                            decodeProgram(*emptyProgram()));
 
     RandomSource master(config.seed);
     for (int p = 0; p < config.numProcessors; ++p) {
@@ -205,7 +221,11 @@ Machine::Machine(const MachineConfig &config) : _config(config)
             std::max<std::size_t>(1, config.cache.lineWords);
         _lineSharers.assign(config.memWords / line_words + 1, 0);
     }
-    _active.reserve(static_cast<std::size_t>(config.numProcessors));
+    _procNext.reserve(static_cast<std::size_t>(config.numProcessors));
+    _aligned.reserve(static_cast<std::size_t>(config.numProcessors));
+    _ahead.reserve(static_cast<std::size_t>(config.numProcessors));
+    _candidates.reserve(static_cast<std::size_t>(config.numProcessors));
+    _admitScratch.reserve(static_cast<std::size_t>(config.numProcessors));
     _groupScratch.reserve(static_cast<std::size_t>(config.numProcessors));
     _traceStates.reserve(static_cast<std::size_t>(config.numProcessors));
     _traceHalted.reserve(static_cast<std::size_t>(config.numProcessors));
@@ -296,11 +316,9 @@ Machine::reset(const MachineConfig &config)
     _bus->reset(config.busServiceCycles, config.busKind);
     _network->reset(config.syncLatency, config.topology);
 
-    for (auto &prog : _programs) {
-        prog = isa::Program();
-        prog.finalize();
-    }
-    const auto empty = decodeProgram(_programs.front());
+    std::fill(_programs.begin(), _programs.end(), emptyProgram());
+    _loadedByHash.clear();
+    const auto empty = decodeProgram(*emptyProgram());
     for (int p = 0; p < config.numProcessors; ++p) {
         _decodedPrograms[static_cast<std::size_t>(p)] = empty;
         _processors[static_cast<std::size_t>(p)]->setProgram(*empty);
@@ -381,21 +399,31 @@ Machine::reset(const MachineConfig &config)
 }
 
 void
-Machine::loadProgram(int p, isa::Program program)
+Machine::loadProgram(int p, const isa::Program &program)
 {
     FB_ASSERT(p >= 0 && p < numProcessors(), "bad processor index");
     FB_ASSERT(program.finalized(), "program must be finalized");
     FB_ASSERT(_now == 0, "cannot load programs after run()");
     const auto sp = static_cast<std::size_t>(p);
-    _decodedPrograms[sp] = decodeProgram(program);
-    _programs[sp] = std::move(program);
+    // Wide machines load one program into many processors: share the
+    // first copy and its block. The hash only finds the candidate
+    // slot; the code comparison decides, so a collision (or a slot
+    // reloaded since) costs a copy, never the wrong program.
+    auto [it, fresh] = _loadedByHash.try_emplace(program.contentHash(), sp);
+    if (!fresh && _programs[it->second]->sameCode(program)) {
+        _programs[sp] = _programs[it->second];
+        _decodedPrograms[sp] = _decodedPrograms[it->second];
+    } else {
+        it->second = sp;
+        _programs[sp] = std::make_shared<const isa::Program>(program);
+        _decodedPrograms[sp] = decodeProgram(program);
+    }
     _processors[sp]->setProgram(*_decodedPrograms[sp]);
 }
 
 void
 Machine::loadAllPrograms(const isa::Program &program)
 {
-    // The decode memo hands every processor the same block.
     for (int p = 0; p < numProcessors(); ++p)
         loadProgram(p, program);
 }
@@ -420,12 +448,12 @@ Machine::onCross(int p, std::uint64_t cycle)
     if (rec == std::numeric_limits<std::size_t>::max())
         return;
     SyncRecord &record = _syncRecords[rec];
-    for (std::size_t i = 0; i < record.members.size(); ++i) {
-        if (record.members[i] == p) {
-            record.crossings[i] = cycle;
-            break;
-        }
-    }
+    // Members are recorded in ascending order.
+    const auto it =
+        std::lower_bound(record.members.begin(), record.members.end(), p);
+    if (it != record.members.end() && *it == p)
+        record.crossings[static_cast<std::size_t>(
+            it - record.members.begin())] = cycle;
     _openSyncRecord[static_cast<std::size_t>(p)] =
         std::numeric_limits<std::size_t>::max();
 }
@@ -453,9 +481,12 @@ Machine::run(ShardWindowDriver *driver)
         sharded ? _config.shardQuantum : inlineQuantum;
 
     _procNext.assign(static_cast<std::size_t>(n), 0);
-    _active.clear();
+    _aligned.clear();
     for (int p = 0; p < n; ++p)
-        _active.push_back(p);
+        _aligned.push_back(p);
+    _ahead.clear();
+    _candidates.clear();
+    _engine = EngineStats{};
     // Seed the watchdog's halted-or-fenced view once; from here it is
     // maintained on the edges that change it (halt, kill, recovery
     // fence) so the per-cycle watchdog block never scans all n cores.
@@ -464,11 +495,12 @@ Machine::run(ShardWindowDriver *driver)
             _fenced[static_cast<std::size_t>(p)] ||
             _processors[static_cast<std::size_t>(p)]->halted();
     }
-    _windowIdle = false;
 
     RunResult result;
     for (;;) {
+        ++_engine.iterations;
         CycleOutcome c;
+        admitDueCores();
         if (_injector)
             injectFaults();
         stepCores(c);
@@ -507,8 +539,45 @@ Machine::run(ShardWindowDriver *driver)
 }
 
 void
+Machine::admitDueCores()
+{
+    // The clock lands on every run-ahead cursor (skipTarget bounds the
+    // skip by the heap top), so a due core owes exactly the tick at
+    // _now. Cores due together enter in ascending order.
+    const auto later = std::greater<>();
+    _admitScratch.clear();
+    while (!_ahead.empty() && _ahead.front().first <= _now) {
+        FB_ASSERT(_ahead.front().first == _now,
+                  "clock passed the run-ahead cursor of cpu "
+                      << _ahead.front().second);
+        _admitScratch.push_back(_ahead.front().second);
+        std::pop_heap(_ahead.begin(), _ahead.end(), later);
+        _ahead.pop_back();
+    }
+    if (_admitScratch.empty())
+        return;
+    std::sort(_admitScratch.begin(), _admitScratch.end());
+    const std::size_t old_size = _aligned.size();
+    _aligned.insert(_aligned.end(), _admitScratch.begin(),
+                    _admitScratch.end());
+    // Merge backwards in place: the tail past old_size is scratch.
+    std::size_t i = old_size;
+    std::size_t j = _admitScratch.size();
+    std::size_t out = _aligned.size();
+    while (j > 0) {
+        if (i > 0 && _aligned[i - 1] > _admitScratch[j - 1])
+            _aligned[--out] = _aligned[--i];
+        else
+            _aligned[--out] = _admitScratch[--j];
+    }
+}
+
+void
 Machine::injectFaults()
 {
+    // Only aligned cores can be hit: windows end at the injector's
+    // next activity and stay closed while a storm is open, so no core
+    // runs ahead into a kill, freeze or storm.
     _injector->beginCycle(_now, *_network);
     for (int d : _injector->killsDue(_now)) {
         if (!_fenced[static_cast<std::size_t>(d)]) {
@@ -519,7 +588,7 @@ Machine::injectFaults()
             _wdHalted[static_cast<std::size_t>(d)] = true;
         }
     }
-    for (int p : _active) {
+    for (int p : _aligned) {
         auto &proc = *_processors[static_cast<std::size_t>(p)];
         if (!_fenced[static_cast<std::size_t>(p)] && !proc.halted() &&
             _injector->stormActive(p, _now)) {
@@ -532,49 +601,46 @@ Machine::injectFaults()
 void
 Machine::stepCores(CycleOutcome &c)
 {
-    // Tick the still-active processors in ascending order (tick order
-    // is architectural: FAA atomicity and bus request ordering depend
-    // on it), compacting out the ones that leave the pool. A fenced
+    // Tick the aligned processors in ascending order (tick order is
+    // architectural: FAA atomicity and bus request ordering depend on
+    // it), compacting out the ones that leave the pool. A fenced
     // processor was declared dead by the watchdog: it no longer ticks
     // and counts as halted. A frozen processor skips its tick; unless
     // frozen forever, it will resume, so the run must not terminate
     // on it.
+    _candidates.clear();
     std::size_t out = 0;
-    for (std::size_t idx = 0; idx < _active.size(); ++idx) {
-        const int p = _active[idx];
+    for (const int p : _aligned) {
         const auto sp = static_cast<std::size_t>(p);
         if (_fenced[sp])
-            continue;  // drop from the active pool
+            continue;  // drop from the pool
         if (_injector && _injector->frozen(p, _now)) {
             if (!_injector->frozenForever(p, _now))
                 c.allHalted = false;
-            _active[out++] = p;
-            continue;
-        }
-        if (_procNext[sp] > _now) {
-            // Ran ahead through private ticks inside an earlier
-            // window: each of those ticks reported Progress and could
-            // not halt, so the per-cycle loop would have seen a live,
-            // progressing core at this cycle.
-            _active[out++] = p;
-            c.allHalted = false;
-            c.progress = true;
+            _aligned[out++] = p;
             continue;
         }
         const TickResult tr = _processors[sp]->tick(_now);
+        ++_engine.coordinatorTicks;
         _procNext[sp] = _now + 1;
         if (tr == TickResult::Halted) {
             _wdHalted[sp] = true;
             continue;  // halted for good: drop from the pool
         }
-        _active[out++] = p;
+        _aligned[out++] = p;
+        _candidates.push_back(p);
         c.allHalted = false;
-        if (tr == TickResult::Progress) {
+        if (tr == TickResult::Progress)
             c.progress = true;
-            _windowIdle = false;
-        }
     }
-    _active.resize(out);
+    _aligned.resize(out);
+    // A core that ran ahead through private ticks in an earlier window
+    // reported Progress on each of them and could not halt, so the
+    // per-cycle loop would have seen a live, progressing core here.
+    if (!_ahead.empty()) {
+        c.allHalted = false;
+        c.progress = true;
+    }
 }
 
 void
@@ -583,11 +649,8 @@ Machine::deliverEpisodes(CycleOutcome &c)
     c.delivered = _network->evaluate(_now);
     if (c.delivered > 0 || _network->deliveryPending())
         c.progress = true;
-    if (c.delivered > 0) {
-        _windowIdle = false;
-        if (_config.recordSyncEvents)
-            recordEpisodes();
-    }
+    if (c.delivered > 0 && _config.recordSyncEvents)
+        recordEpisodes();
 }
 
 void
@@ -664,7 +727,15 @@ Machine::watchdogCycle(CycleOutcome &c)
         applyRecovery(dead, _now);
         c.progress = true;
         c.recovered = true;
-        _windowIdle = false;
+        // A fenced core never ticks or stores again: it leaves the
+        // candidates and the run-ahead heap at once (stepCores drops
+        // it from _aligned next iteration).
+        const auto fenced = [this](int p) {
+            return _fenced[static_cast<std::size_t>(p)];
+        };
+        std::erase_if(_candidates, fenced);
+        std::erase_if(_ahead, [&](const auto &e) { return fenced(e.second); });
+        std::make_heap(_ahead.begin(), _ahead.end(), std::greater<>());
     }
 }
 
@@ -682,6 +753,8 @@ Machine::advanceFast(ShardWindowDriver *driver, std::uint64_t quantum,
 {
     const std::uint64_t window = windowBound(quantum);
     if (windowUseful(window)) {
+        ++_engine.windows;
+        _engine.windowCandidates += _candidates.size();
         _windowActive = true;
         if (driver)
             driver->advanceWindow(window);
@@ -689,6 +762,7 @@ Machine::advanceFast(ShardWindowDriver *driver, std::uint64_t quantum,
             advanceShardRange(0, numProcessors(), window);
         _windowActive = false;
         flushDeferredReads();
+        parkAheadCores();
     }
     skipWait(skipTarget(c));
 }
@@ -721,35 +795,42 @@ Machine::windowBound(std::uint64_t quantum) const
 bool
 Machine::windowUseful(std::uint64_t window)
 {
-    // Open a window only when some core can actually use it; the skip
-    // that follows costs no synchronization.
-    //
-    // After an attempt that dispatched nothing, skip the O(active)
-    // horizon pass and scan until a tick reports Progress, a delivery
-    // lands or a recovery runs. Until then no core's own state
-    // changes: a core that does not tick keeps it, a BarrierWait tick
-    // leaves the core stalled and a Halted one leaves the pool. Only a
-    // load parked at its private-read horizon may turn private as the
-    // clock advances; it then issues on the coordinator instead of in
-    // a window. Where a tick runs never changes what it computes, so
-    // results are unchanged. The rule is off under a fault injector,
-    // whose freezes and forced interrupts change cores without a tick.
-    if (window <= _now + 1 || _windowIdle)
+    // A window runs only the candidates, the cores ticked this
+    // iteration (each cursor at _now + 1): a core in _ahead owes the
+    // tick at its cursor, which the coordinator runs when the clock
+    // lands there (INTERNALS section 19), and a frozen core sits out.
+    // Open a window only when some candidate's next tick is private;
+    // the skip that follows costs no synchronization.
+    if (window <= _now + 1 || _candidates.empty())
         return false;
-    // Publish per-core private-read horizons first: the test below
-    // consults them via isPrivateTick's load predicate, and the
+    // Publish the candidates' private-read horizons first: the test
+    // below consults them via isPrivateTick's load predicate, and the
     // window's release barrier makes them visible to every shard.
     computePrivateReadHorizons();
-    for (int p : _active) {
-        const auto sp = static_cast<std::size_t>(p);
-        if (_injector && _injector->frozen(p, _now))
-            continue;
-        if (_procNext[sp] < window &&
-            _processors[sp]->isPrivateTick(_procNext[sp]))
+    for (int p : _candidates) {
+        if (_processors[static_cast<std::size_t>(p)]->isPrivateTick(
+                _now + 1))
             return true;
     }
-    _windowIdle = !_injector;
     return false;
+}
+
+void
+Machine::parkAheadCores()
+{
+    // _aligned holds the candidates plus any frozen cores; the ones
+    // whose cursor moved past _now + 1 ran ahead.
+    std::size_t out = 0;
+    for (const int p : _aligned) {
+        const std::uint64_t next = _procNext[static_cast<std::size_t>(p)];
+        if (next > _now + 1) {
+            _ahead.emplace_back(next, p);
+            std::push_heap(_ahead.begin(), _ahead.end(), std::greater<>());
+        } else {
+            _aligned[out++] = p;
+        }
+    }
+    _aligned.resize(out);
 }
 
 std::uint64_t
@@ -763,23 +844,22 @@ Machine::skipTarget(const CycleOutcome &c) const
     if (c.recovered)
         return _now + 1;
 
-    // A core that ran ahead needs no coordinator attention before
-    // _procNext[p]; everyone else contributes its nextEventCycle().
-    // The clock still lands on every delivery, fault action and
-    // watchdog deadline. A frozen core is woken by its thaw, an
-    // injector activity.
+    // A core that ran ahead needs no coordinator attention before its
+    // cursor, so _ahead contributes its smallest cursor; every aligned
+    // core contributes its nextEventCycle(). The clock still lands on
+    // every delivery, fault action and watchdog deadline. A frozen
+    // core is woken by its thaw, an injector activity.
     constexpr std::uint64_t never =
         std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t target = never;
-    for (int p : _active) {
-        const auto sp = static_cast<std::size_t>(p);
+    std::uint64_t target = _ahead.empty() ? never : _ahead.front().first;
+    if (target <= _now + 1)
+        return _now + 1;
+    for (const int p : _aligned) {
         if (_injector && _injector->frozen(p, _now))
             continue;
-        if (_procNext[sp] > _now + 1)
-            target = std::min(target, _procNext[sp]);
-        else
-            target =
-                std::min(target, _processors[sp]->nextEventCycle(_now));
+        target = std::min(
+            target,
+            _processors[static_cast<std::size_t>(p)]->nextEventCycle(_now));
         if (target <= _now + 1)
             return _now + 1;
     }
@@ -813,15 +893,14 @@ Machine::skipWait(std::uint64_t target)
     // report BarrierWait and neither injector nor watchdog is live. A
     // core that ran ahead made progress on every cycle the skip would
     // cover, so it counts as wait progress.
-    bool wait_progress = _network->deliveryPending();
-    for (int p : _active) {
+    bool wait_progress = _network->deliveryPending() || !_ahead.empty();
+    for (const int p : _aligned) {
         if (wait_progress)
             break;
         if (_injector && _injector->frozen(p, _now))
             continue;
-        const auto sp = static_cast<std::size_t>(p);
-        wait_progress = _procNext[sp] > _now + 1 ||
-                        _processors[sp]->progressWhileWaiting();
+        wait_progress =
+            _processors[static_cast<std::size_t>(p)]->progressWhileWaiting();
     }
     const bool would_deadlock =
         !wait_progress &&
@@ -841,14 +920,12 @@ Machine::skipWait(std::uint64_t target)
     if (stop <= _now + 1)
         return;
     const std::uint64_t skipped = stop - _now - 1;
-    for (int p : _active) {
-        const auto sp = static_cast<std::size_t>(p);
+    for (const int p : _aligned) {
         if (_injector && _injector->frozen(p, _now))
             continue;
-        if (_procNext[sp] > _now + 1)
-            continue;  // these cycles already ran
-        _processors[sp]->advanceWait(skipped);
+        _processors[static_cast<std::size_t>(p)]->advanceWait(skipped);
     }
+    _engine.skippedCycles += skipped;
     _now += skipped;
 }
 
@@ -857,7 +934,7 @@ Machine::maybeCheckpoint()
 {
     // Loop bottom is the one cut point at which re-entering run() at
     // the loop top replays the remainder exactly: the restored machine
-    // re-derives _active and proceeds from cycle _now as if nothing
+    // re-derives _aligned and proceeds from cycle _now as if nothing
     // had happened.
     const std::uint64_t every = _config.checkpointEveryCycles;
     if (every == 0 || (!_checkpointSink && !_stagedSink) ||
@@ -890,6 +967,7 @@ Machine::collectResult(RunResult &result) const
     result.checkpointsDelta = _checkpointsDelta;
     result.checkpointDegradations = _checkpointDegradations;
     result.checkpointDegradation = _checkpointDegradation;
+    result.engine = _engine;
     if (_injector)
         result.faultStats = _injector->stats();
     if (_watchdog)
@@ -919,25 +997,18 @@ Machine::collectResult(RunResult &result) const
 void
 Machine::advanceShardRange(int first, int last, std::uint64_t stop)
 {
-    for (int p = first; p < last; ++p) {
-        const auto sp = static_cast<std::size_t>(p);
-        if (_fenced[sp])
-            continue;
-        Processor &proc = *_processors[sp];
-        if (proc.halted())
-            continue;
-        // Freeze boundaries are injector events and the window never
-        // crosses one, so frozen status is constant across the whole
-        // window — a frozen core simply sits out, exactly as the
-        // per-cycle loop would leave it.
-        if (_injector && _injector->frozen(p, _now))
-            continue;
-        if (_procNext[sp] >= stop)
-            continue;
-        FB_ASSERT(_procNext[sp] > _now,
-                  "shard window started behind the global clock on cpu "
-                      << p);
-        _procNext[sp] = proc.runPrivate(_procNext[sp], stop);
+    // This shard's slice of the sorted candidate list. A candidate
+    // was ticked at _now, so it is not fenced or halted, and it stays
+    // unfrozen for the whole window: freeze boundaries are injector
+    // events and the window never crosses one.
+    const auto begin =
+        std::lower_bound(_candidates.begin(), _candidates.end(), first);
+    for (auto it = begin; it != _candidates.end() && *it < last; ++it) {
+        const auto sp = static_cast<std::size_t>(*it);
+        FB_ASSERT(_procNext[sp] == _now + 1,
+                  "shard window candidate cpu" << *it
+                                               << " is off the clock");
+        _procNext[sp] = _processors[sp]->runPrivate(_procNext[sp], stop);
     }
 }
 
@@ -946,7 +1017,7 @@ Machine::flushDeferredReads()
 {
     const std::size_t line_words =
         std::max<std::size_t>(1, _config.cache.lineWords);
-    for (int p = 0; p < numProcessors(); ++p) {
+    for (const int p : _candidates) {
         auto &reads = _deferredReads[static_cast<std::size_t>(p)];
         if (reads.empty())
             continue;
@@ -989,21 +1060,22 @@ Machine::writeBoundFor(int q) const
 void
 Machine::computePrivateReadHorizons()
 {
-    // horizon(p) = min over every other core q of writeBoundFor(q),
-    // computed for all cores at once with the two-smallest trick.
-    // Fenced and halted cores are out of _active and can never store
-    // again; frozen cores cannot act before the window closes (the
+    // horizon(p) = min over every other live core q of
+    // writeBoundFor(q), for all candidates at once with the
+    // two-smallest trick. The live cores are the candidates and the
+    // cores in _ahead: fenced and halted cores can never store again,
+    // and frozen cores cannot act before the window closes (the
     // window is clamped to the injector's next activity, and a thaw
-    // is an injector activity).
+    // is an injector activity). A core in _ahead is Running — only
+    // private ticks moved it there — so its bound is its cursor, and
+    // the heap's two smallest cursors are its root and the lesser of
+    // the root's children.
     constexpr std::uint64_t never =
         std::numeric_limits<std::uint64_t>::max();
     std::uint64_t m1 = never;
     std::uint64_t m2 = never;
     int argmin = -1;
-    for (int q : _active) {
-        if (_injector && _injector->frozen(q, _now))
-            continue;
-        const std::uint64_t b = writeBoundFor(q);
+    const auto offer = [&](std::uint64_t b, int q) {
         if (b < m1) {
             m2 = m1;
             m1 = b;
@@ -1011,10 +1083,15 @@ Machine::computePrivateReadHorizons()
         } else if (b < m2) {
             m2 = b;
         }
-    }
-    for (int p : _active) {
-        const auto sp = static_cast<std::size_t>(p);
-        _processors[sp]->setPrivateReadHorizon(p == argmin ? m2 : m1);
+    };
+    for (std::size_t i = 0; i < std::min<std::size_t>(3, _ahead.size());
+         ++i)
+        offer(_ahead[i].first, _ahead[i].second);
+    for (const int q : _candidates)
+        offer(writeBoundFor(q), q);
+    for (const int p : _candidates) {
+        _processors[static_cast<std::size_t>(p)]->setPrivateReadHorizon(
+            p == argmin ? m2 : m1);
     }
 }
 
@@ -1171,7 +1248,8 @@ Machine::configFingerprint() const
     // The loaded code is as much an input as the config: restoring
     // state into different programs would replay garbage.
     h.mix(_programs.size());
-    for (const auto &prog : _programs) {
+    for (const auto &shared : _programs) {
+        const isa::Program &prog = *shared;
         h.mix(prog.size());
         for (std::size_t i = 0; i < prog.size(); ++i) {
             const isa::Instruction &instr = prog.at(i);

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -57,6 +58,21 @@ struct RecoveryEvent
     std::vector<int> survivors;
 };
 
+/**
+ * How the engine spent one run() call: work counts, not results. They
+ * differ between the engines, shard layouts and a resumed run, so no
+ * identity comparison reads them (see RunResult::engine).
+ */
+struct EngineStats
+{
+    std::uint64_t iterations = 0;       ///< run-loop iterations
+    std::uint64_t coordinatorTicks = 0; ///< Processor::tick() calls
+    std::uint64_t windows = 0;          ///< windows dispatched
+    /** Window candidates over those windows: one runPrivate() each. */
+    std::uint64_t windowCandidates = 0;
+    std::uint64_t skippedCycles = 0;    ///< cycles skipWait() jumped
+};
+
 /** Result of a whole-machine run. */
 struct RunResult
 {
@@ -98,6 +114,10 @@ struct RunResult
     /** Last degradation note reported by the staged sink, or empty. */
     std::string checkpointDegradation;
 
+    /** Engine work counts, excluded from every identity comparison
+     * for the same reason as the checkpoint counters above. */
+    EngineStats engine;
+
     /** True if @p p was fenced off by the recovery protocol. */
     bool isDead(int p) const
     {
@@ -131,11 +151,12 @@ struct SyncRecord
 /**
  * Shard rendezvous hook for exec::ShardedMachine (INTERNALS section
  * 17). When a driver is installed, run() hands each window to it
- * instead of advancing all processors inline: advanceWindow(stop)
- * must make every shard call advanceShardRange(first, last, stop) for
- * its processor range (disjoint ranges, any threading) and return
- * only when all shards are done. The machine itself never spawns
- * threads.
+ * instead of advancing the window candidates inline:
+ * advanceWindow(stop) must make every shard call
+ * advanceShardRange(first, last, stop) for its processor range
+ * (disjoint ranges covering every processor, any threading) and
+ * return only when all shards are done. The machine itself never
+ * spawns threads.
  */
 class ShardWindowDriver
 {
@@ -184,9 +205,10 @@ class Machine : public ExecutionObserver
      * Load @p program into processor @p p. Must precede run(). The
      * processor executes the program's decoded form, obtained from
      * decodeProgram() (whose memo shares blocks between machines and
-     * checks content, not only the hash).
+     * checks content, not only the hash). Processors that load equal
+     * programs share one copy of the source and one decoded block.
      */
-    void loadProgram(int p, isa::Program program);
+    void loadProgram(int p, const isa::Program &program);
 
     /** Load the same program into every processor (one shared decode). */
     void loadAllPrograms(const isa::Program &program);
@@ -220,11 +242,11 @@ class Machine : public ExecutionObserver
     RunResult run(ShardWindowDriver *driver = nullptr);
 
     /**
-     * Shard worker entry: advance processors [@p first, @p last)
-     * through consecutive private ticks up to (excluding) cycle
-     * @p stop. Only called from ShardWindowDriver::advanceWindow(),
-     * on disjoint ranges; touches nothing outside the range's
-     * processors and their skew cursors.
+     * Shard worker entry: advance the window candidates among
+     * processors [@p first, @p last) through consecutive private ticks
+     * up to (excluding) cycle @p stop. Only called from
+     * ShardWindowDriver::advanceWindow(), on disjoint ranges; touches
+     * nothing outside the range's candidates and their skew cursors.
      */
     void advanceShardRange(int first, int last, std::uint64_t stop);
 
@@ -376,10 +398,15 @@ class Machine : public ExecutionObserver
     // The phases of one run() iteration, in order. Each works on
     // _now; only advanceFast() moves the clock beyond the next cycle.
 
+    /** Move the cores whose run-ahead ends at _now from _ahead back
+     * into _aligned. */
+    void admitDueCores();
+
     /** Apply the fault injector's actions due at _now. */
     void injectFaults();
 
-    /** Tick every active processor once, in ascending order. */
+    /** Tick every aligned processor once, in ascending order; the
+     * ticked ones become this iteration's window candidates. */
     void stepCores(CycleOutcome &c);
 
     /** Evaluate the barrier network and record completed episodes. */
@@ -411,9 +438,12 @@ class Machine : public ExecutionObserver
      * it. */
     std::uint64_t windowBound(std::uint64_t quantum) const;
 
-    /** True if some active core can run a private tick below
+    /** True if some window candidate can run a private tick below
      * @p window (publishes the private-read horizons first). */
     bool windowUseful(std::uint64_t window);
+
+    /** Move the candidates that ran ahead from _aligned into _ahead. */
+    void parkAheadCores();
 
     /** The cycle the clock may skip to: the earliest cycle after _now
      * at which some core, delivery, fault or watchdog acts. */
@@ -438,9 +468,14 @@ class Machine : public ExecutionObserver
     std::unique_ptr<barrier::BarrierNetwork> _network;
     std::vector<std::unique_ptr<DataCache>> _caches;
     std::vector<std::unique_ptr<Port>> _ports;
-    std::vector<isa::Program> _programs;
+    /** Loaded source per processor; equal programs share one copy. */
+    std::vector<std::shared_ptr<const isa::Program>> _programs;
     /** Decoded forms of _programs, the code the processors execute. */
     std::vector<std::shared_ptr<const DecodedProgram>> _decodedPrograms;
+    /** Content hash -> a slot loaded with that program since the last
+     * reset; a later load shares the slot's source and block only if
+     * its code compares equal (Program::sameCode). */
+    std::unordered_map<std::uint64_t, std::size_t> _loadedByHash;
     std::vector<std::unique_ptr<Processor>> _processors;
     std::uint64_t _now = 0;
     std::unique_ptr<BarrierTrace> _trace;
@@ -522,32 +557,39 @@ class Machine : public ExecutionObserver
      * touching open records or the current delta epoch's patch tail. */
     void pruneSyncRecords();
 
-    // Run-loop scratch (hoisted per-cycle heap allocations).
-    /** Processors still ticking: not fenced, tick() != Halted. Kept
-     * in ascending order — tick order is architectural (FAA
-     * atomicity, bus request ordering). */
-    std::vector<int> _active;
-    /** (tag, processor) pairs of one delivery, for episode grouping. */
-    std::vector<std::pair<std::uint32_t, int>> _groupScratch;
-    /** One episode's member set, for the membership oracle. */
-    BitVector _memberScratch;
+    // Run-loop state, rebuilt at every run() entry and never
+    // serialized (windows never span a checkpoint boundary, so every
+    // processor is aligned whenever state is captured). Reserved to
+    // the processor count at construction: run() allocates none of it.
     /**
      * Skew cursors: _procNext[p] is the next global cycle whose tick
      * processor p still owes. A processor with _procNext[p] > _now
      * ran ahead through private ticks in a window; the coordinator
      * counts it as alive-and-progressing and skips its tick. The
      * per-cycle loop never runs ahead, so there every cursor is
-     * _now + 1 after the tick. Not part of snapshots — windows never
-     * span a checkpoint boundary, so every processor is aligned
-     * whenever state is captured.
+     * _now + 1 after the tick.
      */
     std::vector<std::uint64_t> _procNext;
-    /**
-     * Set after a window attempt that found no core able to run
-     * privately; cleared by a Progress tick, a delivery or a
-     * recovery (see windowUseful()).
-     */
-    bool _windowIdle = false;
+    /** Processors that still tick and have not run ahead: their
+     * cursor is at or behind the clock. Ascending — tick order is
+     * architectural (FAA atomicity, bus request ordering). */
+    std::vector<int> _aligned;
+    /** Processors that ran ahead, as a min-heap of (_procNext[p], p).
+     * Each owes the tick at its cursor, which the coordinator runs
+     * when the clock lands there (admitDueCores); until then it is
+     * never a window candidate. */
+    std::vector<std::pair<std::uint64_t, int>> _ahead;
+    /** This iteration's window candidates: the processors stepCores
+     * ticked, ascending. Written before a window's release barrier,
+     * read by the shard threads. */
+    std::vector<int> _candidates;
+    /** Merge buffer for admitDueCores(). */
+    std::vector<int> _admitScratch;
+    EngineStats _engine;
+    /** (tag, processor) pairs of one delivery, for episode grouping. */
+    std::vector<std::pair<std::uint32_t, int>> _groupScratch;
+    /** One episode's member set, for the membership oracle. */
+    BitVector _memberScratch;
     std::vector<barrier::BarrierState> _traceStates;
     std::vector<bool> _traceHalted;
     /** Per-processor halted-or-fenced flags handed to the watchdog.
@@ -572,11 +614,11 @@ class Machine : public ExecutionObserver
 
     /**
      * Replay the statistics of every private-path load performed in
-     * the window just closed, in processor order: memory access
-     * counts, sharer-mask bits and the sharer delta-epoch marks. All
-     * of these are order-insensitive (sums, idempotent bit-sets, and
-     * sorted-at-encode page/line lists), so the replay is byte-
-     * identical to the sequential interleaving.
+     * the window just closed (only candidates ran), in processor
+     * order: memory access counts, sharer-mask bits and the sharer
+     * delta-epoch marks. All of these are order-insensitive (sums,
+     * idempotent bit-sets, and sorted-at-encode page/line lists), so
+     * the replay is byte-identical to the sequential interleaving.
      */
     void flushDeferredReads();
 
@@ -589,8 +631,9 @@ class Machine : public ExecutionObserver
      */
     std::uint64_t writeBoundFor(int q) const;
 
-    /** Publish per-processor private-read horizons for a window
-     * dispatch (min over the other processors' writeBoundFor()). */
+    /** Publish each candidate's private-read horizon for a window
+     * dispatch: the min over every other live processor's
+     * writeBoundFor(). */
     void computePrivateReadHorizons();
 
     // Per-line sharer masks for the write-through coherence filter

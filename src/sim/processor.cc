@@ -62,7 +62,9 @@ Processor::Processor(int id, const DecodedProgram &program,
                      std::int64_t isr_entry, int issue_width)
     : _id(id), _code(&program), _unit(unit), _mem(mem),
       _pipelineDepth(pipeline_depth), _stall(stall), _jitter(jitter),
-      _jitterMean(jitter_mean), _interruptPeriod(interrupt_period),
+      _jitterMean(jitter_mean),
+      _jitterCut(RandomSource::jitterCut(jitter_mean)),
+      _interruptPeriod(interrupt_period),
       _isrEntry(isr_entry), _issueWidth(issue_width),
       _nextInterrupt(interrupt_period)
 {
@@ -86,6 +88,7 @@ Processor::reset(int pipeline_depth, StallModel stall,
     _stall = stall;
     _jitter = jitter;
     _jitterMean = jitter_mean;
+    _jitterCut = RandomSource::jitterCut(jitter_mean);
     _interruptPeriod = interrupt_period;
     _isrEntry = isr_entry;
     _issueWidth = issue_width;
@@ -545,7 +548,8 @@ Processor::retire(std::uint32_t cost, std::size_t next_pc,
                   bool effective_region, std::uint64_t now)
 {
     if (_jitterMean > 0.0)
-        cost += static_cast<std::uint32_t>(_jitter.nextJitter(_jitterMean));
+        cost += static_cast<std::uint32_t>(
+            _jitter.nextJitter(_jitterMean, _jitterCut));
     _pc = next_pc;
     _lastIssueCost = cost;
     ++_instructions;

@@ -361,6 +361,8 @@ class Processor
     StallModel _stall;
     RandomSource _jitter;
     double _jitterMean;
+    /** RandomSource::jitterCut(_jitterMean), for the zero fast path. */
+    double _jitterCut;
     std::uint64_t _interruptPeriod;
     std::int64_t _isrEntry;
     int _issueWidth;

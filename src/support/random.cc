@@ -90,13 +90,38 @@ RandomSource::nextJitter(double mean)
 {
     if (mean <= 0.0)
         return 0;
+    return jitterOf(nextDouble(), mean);
+}
+
+std::uint64_t
+RandomSource::nextJitter(double mean, double cut)
+{
+    if (mean <= 0.0)
+        return 0;
+    return jitterOf(nextDouble(), mean, cut);
+}
+
+std::uint64_t
+RandomSource::jitterOf(double u, double mean)
+{
     // Sample an exponential with the given mean and round down; this
     // gives integer-valued drift with a long tail like real cache-miss
     // streaks.
-    double u = nextDouble();
     if (u >= 1.0)
         u = 0.9999999999;
     return static_cast<std::uint64_t>(-mean * std::log(1.0 - u));
+}
+
+std::uint64_t
+RandomSource::jitterOf(double u, double mean, double cut)
+{
+    return 1.0 - u > cut ? 0 : jitterOf(u, mean);
+}
+
+double
+RandomSource::jitterCut(double mean)
+{
+    return std::exp(-1.0 / mean) * (1.0 + 1e-9);
 }
 
 RandomSource

@@ -53,6 +53,29 @@ class RandomSource
      */
     std::uint64_t nextJitter(double mean);
 
+    /**
+     * nextJitter(@p mean) with the common zero outcome decided without
+     * std::log: @p cut must be jitterCut(mean). Draws the same values
+     * and returns the same results.
+     */
+    std::uint64_t nextJitter(double mean, double cut);
+
+    /** The jitter a uniform draw @p u in [0, 1) maps to:
+     * floor(-mean * log(1 - u)). @pre mean > 0. */
+    static std::uint64_t jitterOf(double u, double mean);
+
+    /** jitterOf(@p u, @p mean), returning 0 without std::log when
+     * 1 - u > @p cut = jitterCut(mean). */
+    static std::uint64_t jitterOf(double u, double mean, double cut);
+
+    /**
+     * A bound just above exp(-1 / mean): jitterOf(u, mean) is 0 when
+     * 1 - u lies above exp(-1 / mean). The relative margin of 1e-9
+     * dwarfs the rounding of log and exp, so 1 - u > cut proves a
+     * zero result.
+     */
+    static double jitterCut(double mean);
+
     /** Create an independent child stream (for per-processor use). */
     RandomSource split();
 

@@ -33,7 +33,8 @@ class ProgramCache;
 namespace fb::verify
 {
 
-/** Everything diffed about one execution of a scenario. */
+/** Everything diffed about one execution of a scenario (never the
+ * RunResult's engine or checkpoint counters, which count work). */
 struct Fingerprint
 {
     bool deadlocked = false;

@@ -43,7 +43,9 @@ baselineConfig(const Scenario &sc, bool fast_forward,
     return cfg;
 }
 
-/** Compare two RunResults field by field; empty string if identical. */
+/** Compare two RunResults field by field; empty string if identical.
+ * The checkpoint and engine counters count work, not results, and a
+ * resumed run legitimately differs in them, so they are left out. */
 std::string
 diffRunResults(const sim::RunResult &a, const sim::RunResult &b)
 {

@@ -122,22 +122,22 @@ struct Observation
 };
 
 /**
- * Load the scenario's programs and run @p m to completion. The run
- * goes through exec::ShardedMachine, so a config with shardCount > 1
- * and shardQuantum > 0 executes under real host threads and anything
+ * Load @p procs programs and run @p m to completion. The run goes
+ * through exec::ShardedMachine, so a config with shardCount > 1 and
+ * shardQuantum > 0 executes under real host threads and anything
  * else falls back to the plain sequential core — callers pick the
  * execution mode purely through MachineConfig.
  */
 inline Observation
-observeRun(const verify::Scenario &sc,
-           const std::vector<isa::Program> &programs, sim::Machine &m)
+observeRun(int procs, const std::vector<isa::Program> &programs,
+           sim::Machine &m)
 {
-    for (int p = 0; p < sc.procs(); ++p)
+    for (int p = 0; p < procs; ++p)
         m.loadProgram(p, programs[static_cast<std::size_t>(p)]);
     Observation obs;
     exec::ShardedMachine sharded(m);
     obs.result = sharded.run();
-    for (int p = 0; p < sc.procs(); ++p) {
+    for (int p = 0; p < procs; ++p) {
         std::vector<std::int64_t> r;
         for (int i = 0; i < isa::numRegisters; ++i)
             r.push_back(m.processor(p).reg(i));
@@ -146,6 +146,14 @@ observeRun(const verify::Scenario &sc,
     obs.safety = m.checkSafetyProperty();
     obs.syncRecords = m.syncRecords().size();
     return obs;
+}
+
+/** Load the scenario's programs and run @p m (see above). */
+inline Observation
+observeRun(const verify::Scenario &sc,
+           const std::vector<isa::Program> &programs, sim::Machine &m)
+{
+    return observeRun(sc.procs(), programs, m);
 }
 
 /** Run @p sc under @p cfg — pooled when @p pool is set (sweeps
@@ -173,9 +181,10 @@ runOnce(const verify::Scenario &sc,
     return runOnce(sc, programs, configFor(sc, k, fast_forward), pool);
 }
 
-/** Assert every RunResult field (and final machine state) matches.
- * The @p ctx string is the failure pretty-printer: it should carry
- * the seed and every knob needed to replay the divergence. */
+/** Assert every RunResult field (and final machine state) matches,
+ * except the engine and checkpoint counters, which count work, not
+ * results. The @p ctx string is the failure pretty-printer: it should
+ * carry the seed and every knob needed to replay the divergence. */
 inline void
 expectIdentical(const Observation &ff, const Observation &legacy,
                 const std::string &ctx)

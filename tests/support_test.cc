@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <sstream>
 
@@ -396,6 +397,42 @@ TEST(RandomSource, JitterZeroMeanIsZero)
     RandomSource r(13);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(r.nextJitter(0.0), 0u);
+}
+
+// The zero fast path of nextJitter(mean, cut) must be exact: the same
+// draws, the same values, for draws from the stream and for uniform
+// values placed on either side of the cut and of the true boundary
+// 1 - u = exp(-1 / mean), where a too-small margin would show first.
+TEST(RandomSource, JitterFastPathMatchesFormula)
+{
+    for (double mean : {0.25, 0.5, 1.0, 2.5, 3.7}) {
+        const double cut = RandomSource::jitterCut(mean);
+        RandomSource exact(17);
+        RandomSource fast(17);
+        std::uint64_t zeros = 0;
+        for (int i = 0; i < 1'000'000; ++i) {
+            const std::uint64_t want = exact.nextJitter(mean);
+            ASSERT_EQ(fast.nextJitter(mean, cut), want)
+                << "mean " << mean << " draw " << i;
+            zeros += want == 0 ? 1 : 0;
+        }
+        EXPECT_EQ(fast.state(), exact.state()) << "mean " << mean;
+        EXPECT_GT(zeros, 0u) << "mean " << mean;
+
+        for (double edge : {1.0 - cut, 1.0 - std::exp(-1.0 / mean)}) {
+            double below = edge;
+            double above = edge;
+            for (int k = 0; k < 64; ++k) {
+                for (double u : {below, above}) {
+                    EXPECT_EQ(RandomSource::jitterOf(u, mean, cut),
+                              RandomSource::jitterOf(u, mean))
+                        << "mean " << mean << " u " << u;
+                }
+                below = std::nextafter(below, 0.0);
+                above = std::nextafter(above, 1.0);
+            }
+        }
+    }
 }
 
 TEST(RandomSource, SplitIndependent)

@@ -1,11 +1,12 @@
 /**
  * @file
  * 1024-processor tests: machine-wide fuzzy-barrier loops on the flat,
- * tree and cluster networks (fast engine against the per-cycle
- * reference), a kill recovered by the watchdog, and a diagnosed
- * deadlock. At this width a per-episode cost that grows with the
- * square of the group size costs seconds, so every test here carries
- * a CTest timeout (tests/CMakeLists.txt) and such a cost fails loudly.
+ * tree and cluster networks (fast engine, inline and over 2 and 4
+ * shard threads, against the per-cycle reference), a kill recovered
+ * by the watchdog, and a diagnosed deadlock. At this width a
+ * per-episode cost that grows with the square of the group size costs
+ * seconds, so every test here carries a CTest timeout
+ * (tests/CMakeLists.txt) and such a cost fails loudly.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "barrier/topology.hh"
 #include "fault/plan.hh"
+#include "harness.hh"
 #include "isa/assembler.hh"
 #include "sim/machine.hh"
 
@@ -162,6 +164,39 @@ TEST_P(Wide1024Shape, BarrierLoopFastMatchesReference)
     EXPECT_GT(fast.perProcessor[0].stalledEpisodes, 0u);
     EXPECT_TRUE(fast_out == ref_out)
         << "fast engine and per-cycle reference differ on " << GetParam();
+
+    // The coordinator's work per iteration scales with the cores it
+    // ticks: a window visits only the cores ticked in its iteration,
+    // never every active core.
+    EXPECT_GT(fast.engine.windows, 0u);
+    EXPECT_LE(fast.engine.windowCandidates, fast.engine.coordinatorTicks)
+        << GetParam() << ": " << fast.engine.windows << " windows";
+}
+
+TEST_P(Wide1024Shape, ShardedMatchesReference)
+{
+    // Shard threads split each window's candidate list by processor
+    // range; at 1024 processors that list spans every shard.
+    const auto progs = loopPrograms(kEpisodes);
+    MachineConfig ref_cfg = wideConfig(GetParam());
+    ref_cfg.fastForward = false;
+    Machine ref_machine(ref_cfg);
+    const harness::Observation ref =
+        harness::observeRun(kProcs, progs, ref_machine);
+    const std::string ref_out = outcome(ref_machine, ref.result);
+    for (int shards : {2, 4}) {
+        MachineConfig cfg = wideConfig(GetParam());
+        cfg.shardCount = shards;
+        cfg.shardQuantum = 64;
+        Machine m(cfg);
+        const harness::Observation obs =
+            harness::observeRun(kProcs, progs, m);
+        const std::string ctx =
+            std::string(GetParam()) + " shards=" + std::to_string(shards);
+        harness::expectIdentical(obs, ref, ctx);
+        EXPECT_TRUE(outcome(m, obs.result) == ref_out) << ctx;
+        EXPECT_GT(obs.result.engine.windows, 0u) << ctx;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, Wide1024Shape,
