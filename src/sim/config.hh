@@ -247,7 +247,8 @@ struct MachineConfig
      * Maximum cycles a shard may run ahead of the global clock
      * between rendezvous (the fuzzy-barrier skew bound, quantum-style
      * like Sniper's barrier-synchronized cores). 0 disables sharding
-     * entirely: windows then run inline on the calling thread.
+     * entirely: windows then run inline on the calling thread. Values
+     * above 4095, the span of the run-ahead wheel, act as 4095.
      */
     std::uint64_t shardQuantum = 0;
 };

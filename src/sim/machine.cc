@@ -213,7 +213,7 @@ Machine::Machine(const MachineConfig &config) : _config(config)
     }
     _lastArrival.assign(static_cast<std::size_t>(config.numProcessors), 0);
     _openSyncRecord.assign(static_cast<std::size_t>(config.numProcessors),
-                           std::numeric_limits<std::size_t>::max());
+                           OpenSync{});
     _fenced.assign(static_cast<std::size_t>(config.numProcessors), false);
 
     if (config.cache.enabled) {
@@ -222,10 +222,11 @@ Machine::Machine(const MachineConfig &config) : _config(config)
         _lineSharers.assign(config.memWords / line_words + 1, 0);
     }
     _procNext.reserve(static_cast<std::size_t>(config.numProcessors));
-    _aligned.reserve(static_cast<std::size_t>(config.numProcessors));
-    _ahead.reserve(static_cast<std::size_t>(config.numProcessors));
+    _aligned.resize(static_cast<std::size_t>(config.numProcessors));
+    _wheelHead = std::make_unique_for_overwrite<int[]>(wheelSlots);
+    _wheelNext.assign(static_cast<std::size_t>(config.numProcessors), -1);
+    _wheelUsed.resize(wheelSlots);
     _candidates.reserve(static_cast<std::size_t>(config.numProcessors));
-    _admitScratch.reserve(static_cast<std::size_t>(config.numProcessors));
     _groupScratch.reserve(static_cast<std::size_t>(config.numProcessors));
     _traceStates.reserve(static_cast<std::size_t>(config.numProcessors));
     _traceHalted.reserve(static_cast<std::size_t>(config.numProcessors));
@@ -344,8 +345,7 @@ Machine::reset(const MachineConfig &config)
 
     _now = 0;
     std::fill(_lastArrival.begin(), _lastArrival.end(), 0);
-    std::fill(_openSyncRecord.begin(), _openSyncRecord.end(),
-              std::numeric_limits<std::size_t>::max());
+    std::fill(_openSyncRecord.begin(), _openSyncRecord.end(), OpenSync{});
     std::fill(_fenced.begin(), _fenced.end(), false);
     _recoveries.clear();
     _deadDeclared.clear();
@@ -444,18 +444,11 @@ Machine::onArrive(int p, std::uint64_t cycle)
 void
 Machine::onCross(int p, std::uint64_t cycle)
 {
-    std::size_t rec = _openSyncRecord[static_cast<std::size_t>(p)];
-    if (rec == std::numeric_limits<std::size_t>::max())
+    OpenSync &open = _openSyncRecord[static_cast<std::size_t>(p)];
+    if (open.record == OpenSync::none)
         return;
-    SyncRecord &record = _syncRecords[rec];
-    // Members are recorded in ascending order.
-    const auto it =
-        std::lower_bound(record.members.begin(), record.members.end(), p);
-    if (it != record.members.end() && *it == p)
-        record.crossings[static_cast<std::size_t>(
-            it - record.members.begin())] = cycle;
-    _openSyncRecord[static_cast<std::size_t>(p)] =
-        std::numeric_limits<std::size_t>::max();
+    _syncRecords[open.record].crossings[open.slot] = cycle;
+    open.record = OpenSync::none;
 }
 
 RunResult
@@ -469,22 +462,23 @@ Machine::run(ShardWindowDriver *driver)
     // engine (section 19) lets cores run ahead of the clock through
     // private ticks and skips cycles no core acts in. A driver
     // (section 17) spreads its windows over host threads; without
-    // one they run inline on this thread with a fixed quantum, which
-    // is only a batching knob — the sharded suite pins that results
-    // do not depend on the quantum.
-    constexpr std::uint64_t inlineQuantum = 4096;
+    // one they run inline on this thread. The quantum is only a
+    // batching knob — the sharded suite pins that results do not
+    // depend on it — so it is clamped to what the run-ahead wheel
+    // can hold.
+    constexpr std::uint64_t maxQuantum = wheelSlots - 1;
     const bool fast = _config.fastForward && !_trace;
     const bool sharded =
         fast && driver != nullptr && _config.shardQuantum != 0;
     ShardWindowDriver *const window_driver = sharded ? driver : nullptr;
     const std::uint64_t quantum =
-        sharded ? _config.shardQuantum : inlineQuantum;
+        sharded ? std::min(_config.shardQuantum, maxQuantum) : maxQuantum;
 
     _procNext.assign(static_cast<std::size_t>(n), 0);
-    _aligned.clear();
+    _aligned.clearAll();
     for (int p = 0; p < n; ++p)
-        _aligned.push_back(p);
-    _ahead.clear();
+        _aligned.set(static_cast<std::size_t>(p));
+    _wheelUsed.clearAll();  // a run that timed out leaves cores parked
     _candidates.clear();
     _engine = EngineStats{};
     // Seed the watchdog's halted-or-fenced view once; from here it is
@@ -542,34 +536,18 @@ void
 Machine::admitDueCores()
 {
     // The clock lands on every run-ahead cursor (skipTarget bounds the
-    // skip by the heap top), so a due core owes exactly the tick at
-    // _now. Cores due together enter in ascending order.
-    const auto later = std::greater<>();
-    _admitScratch.clear();
-    while (!_ahead.empty() && _ahead.front().first <= _now) {
-        FB_ASSERT(_ahead.front().first == _now,
-                  "clock passed the run-ahead cursor of cpu "
-                      << _ahead.front().second);
-        _admitScratch.push_back(_ahead.front().second);
-        std::pop_heap(_ahead.begin(), _ahead.end(), later);
-        _ahead.pop_back();
-    }
-    if (_admitScratch.empty())
+    // skip by the smallest one), so the slot of _now holds exactly the
+    // cores that owe the tick at _now. _aligned keeps them in order.
+    const std::size_t slot = _now % wheelSlots;
+    if (!_wheelUsed.test(slot))
         return;
-    std::sort(_admitScratch.begin(), _admitScratch.end());
-    const std::size_t old_size = _aligned.size();
-    _aligned.insert(_aligned.end(), _admitScratch.begin(),
-                    _admitScratch.end());
-    // Merge backwards in place: the tail past old_size is scratch.
-    std::size_t i = old_size;
-    std::size_t j = _admitScratch.size();
-    std::size_t out = _aligned.size();
-    while (j > 0) {
-        if (i > 0 && _aligned[i - 1] > _admitScratch[j - 1])
-            _aligned[--out] = _aligned[--i];
-        else
-            _aligned[--out] = _admitScratch[--j];
+    for (int p = _wheelHead[slot]; p >= 0;
+         p = _wheelNext[static_cast<std::size_t>(p)]) {
+        FB_ASSERT(_procNext[static_cast<std::size_t>(p)] == _now,
+                  "clock passed the run-ahead cursor of cpu " << p);
+        _aligned.set(static_cast<std::size_t>(p));
     }
+    _wheelUsed.clear(slot);
 }
 
 void
@@ -588,14 +566,15 @@ Machine::injectFaults()
             _wdHalted[static_cast<std::size_t>(d)] = true;
         }
     }
-    for (int p : _aligned) {
-        auto &proc = *_processors[static_cast<std::size_t>(p)];
-        if (!_fenced[static_cast<std::size_t>(p)] && !proc.halted() &&
+    _aligned.forEach([this](std::size_t sp) {
+        auto &proc = *_processors[sp];
+        const int p = static_cast<int>(sp);
+        if (!_fenced[sp] && !proc.halted() &&
             _injector->stormActive(p, _now)) {
             proc.forceInterrupt();
             ++_injector->stats().forcedInterrupts;
         }
-    }
+    });
 }
 
 void
@@ -603,41 +582,39 @@ Machine::stepCores(CycleOutcome &c)
 {
     // Tick the aligned processors in ascending order (tick order is
     // architectural: FAA atomicity and bus request ordering depend on
-    // it), compacting out the ones that leave the pool. A fenced
-    // processor was declared dead by the watchdog: it no longer ticks
-    // and counts as halted. A frozen processor skips its tick; unless
-    // frozen forever, it will resume, so the run must not terminate
-    // on it.
+    // it), dropping the ones that leave the pool. A fenced processor
+    // was declared dead by the watchdog: it no longer ticks and counts
+    // as halted. A frozen processor skips its tick; unless frozen
+    // forever, it will resume, so the run must not terminate on it.
     _candidates.clear();
-    std::size_t out = 0;
-    for (const int p : _aligned) {
-        const auto sp = static_cast<std::size_t>(p);
-        if (_fenced[sp])
-            continue;  // drop from the pool
+    _aligned.forEach([&](std::size_t sp) {
+        const int p = static_cast<int>(sp);
+        if (_fenced[sp]) {
+            _aligned.clear(sp);
+            return;
+        }
         if (_injector && _injector->frozen(p, _now)) {
             if (!_injector->frozenForever(p, _now))
                 c.allHalted = false;
-            _aligned[out++] = p;
-            continue;
+            return;
         }
         const TickResult tr = _processors[sp]->tick(_now);
         ++_engine.coordinatorTicks;
         _procNext[sp] = _now + 1;
         if (tr == TickResult::Halted) {
             _wdHalted[sp] = true;
-            continue;  // halted for good: drop from the pool
+            _aligned.clear(sp);  // halted for good
+            return;
         }
-        _aligned[out++] = p;
         _candidates.push_back(p);
         c.allHalted = false;
         if (tr == TickResult::Progress)
             c.progress = true;
-    }
-    _aligned.resize(out);
+    });
     // A core that ran ahead through private ticks in an earlier window
     // reported Progress on each of them and could not halt, so the
     // per-cycle loop would have seen a live, progressing core here.
-    if (!_ahead.empty()) {
+    if (!_wheelUsed.empty()) {
         c.allHalted = false;
         c.progress = true;
     }
@@ -692,7 +669,7 @@ Machine::recordEpisodes()
         _syncRecords.push_back(std::move(record));
         for (std::size_t k = i; k < j; ++k) {
             _openSyncRecord[static_cast<std::size_t>(
-                _groupScratch[k].second)] = _syncRecords.size() - 1;
+                _groupScratch[k].second)] = {_syncRecords.size() - 1, k - i};
         }
         i = j;
     }
@@ -728,14 +705,18 @@ Machine::watchdogCycle(CycleOutcome &c)
         c.progress = true;
         c.recovered = true;
         // A fenced core never ticks or stores again: it leaves the
-        // candidates and the run-ahead heap at once (stepCores drops
-        // it from _aligned next iteration).
-        const auto fenced = [this](int p) {
+        // candidates at once (stepCores drops it from _aligned next
+        // iteration). It has not run past this cycle, so it is not
+        // parked either: windows end by the earliest deadline a timer
+        // could have (windowBound).
+        for (int d : dead) {
+            FB_ASSERT(_procNext[static_cast<std::size_t>(d)] <= _now + 1,
+                      "watchdog fenced cpu" << d << " after it ran past "
+                                               "cycle " << _now);
+        }
+        std::erase_if(_candidates, [this](int p) {
             return _fenced[static_cast<std::size_t>(p)];
-        };
-        std::erase_if(_candidates, fenced);
-        std::erase_if(_ahead, [&](const auto &e) { return fenced(e.second); });
-        std::make_heap(_ahead.begin(), _ahead.end(), std::greater<>());
+        });
     }
 }
 
@@ -773,7 +754,10 @@ Machine::windowBound(std::uint64_t quantum) const
     // No processor may run ahead into a cycle where a global action
     // could affect it: a fault event or thaw, a watchdog recovery
     // (which can fence a live straggler), a checkpoint capture (which
-    // needs every core aligned), or the end of the run. Barrier pulse
+    // needs every core aligned), or the end of the run. A watchdog
+    // timer armed after the window opens expires no earlier than
+    // _now + 1 + timeoutCycles, so that bounds the window as well as
+    // the armed timers' deadlines do. Barrier pulse
     // deliveries deliberately do NOT bound the window: a private tick
     // never reads anything a delivery changes (Ready vs Synced both
     // sit on the far side of the NonBarrier test in isPrivateTick),
@@ -786,9 +770,12 @@ Machine::windowBound(std::uint64_t quantum) const
     }
     if (_injector)
         window = std::min(window, _injector->nextActivityCycle(_now));
-    if (_watchdog && _watchdog->armed())
-        window = std::min(window,
-                          std::max(_watchdog->nextDeadline(), _now + 1));
+    if (_watchdog) {
+        window = std::min(window, _now + 1 + _config.watchdog.timeoutCycles);
+        if (_watchdog->armed())
+            window = std::min(window,
+                              std::max(_watchdog->nextDeadline(), _now + 1));
+    }
     return window;
 }
 
@@ -796,7 +783,7 @@ bool
 Machine::windowUseful(std::uint64_t window)
 {
     // A window runs only the candidates, the cores ticked this
-    // iteration (each cursor at _now + 1): a core in _ahead owes the
+    // iteration (each cursor at _now + 1): a parked core owes the
     // tick at its cursor, which the coordinator runs when the clock
     // lands there (INTERNALS section 19), and a frozen core sits out.
     // Open a window only when some candidate's next tick is private;
@@ -818,19 +805,35 @@ Machine::windowUseful(std::uint64_t window)
 void
 Machine::parkAheadCores()
 {
-    // _aligned holds the candidates plus any frozen cores; the ones
-    // whose cursor moved past _now + 1 ran ahead.
-    std::size_t out = 0;
-    for (const int p : _aligned) {
-        const std::uint64_t next = _procNext[static_cast<std::size_t>(p)];
-        if (next > _now + 1) {
-            _ahead.emplace_back(next, p);
-            std::push_heap(_ahead.begin(), _ahead.end(), std::greater<>());
-        } else {
-            _aligned[out++] = p;
-        }
+    // Only candidates ran in the window, each from _now + 1; the ones
+    // whose cursor moved on ran ahead and wait in the slot of their
+    // cursor (windowBound keeps it within wheelSlots of the clock).
+    for (const int p : _candidates) {
+        const auto sp = static_cast<std::size_t>(p);
+        const std::uint64_t next = _procNext[sp];
+        if (next == _now + 1)
+            continue;
+        _engine.privateCycles += next - (_now + 1);
+        ++_engine.parkedCores;
+        _aligned.clear(sp);
+        const std::size_t slot = next % wheelSlots;
+        _wheelNext[sp] = _wheelUsed.test(slot) ? _wheelHead[slot] : -1;
+        _wheelHead[slot] = p;
+        _wheelUsed.set(slot);
     }
-    _aligned.resize(out);
+}
+
+std::uint64_t
+Machine::firstParkedCursor() const
+{
+    // The occupied slot first reached going forward from _now + 1,
+    // wrapping once, holds the smallest cursor (see _wheelHead).
+    if (_wheelUsed.empty())
+        return std::numeric_limits<std::uint64_t>::max();
+    std::size_t slot = _wheelUsed.firstFrom((_now + 1) % wheelSlots);
+    if (slot == wheelSlots)
+        slot = _wheelUsed.first();
+    return _procNext[static_cast<std::size_t>(_wheelHead[slot])];
 }
 
 std::uint64_t
@@ -845,24 +848,23 @@ Machine::skipTarget(const CycleOutcome &c) const
         return _now + 1;
 
     // A core that ran ahead needs no coordinator attention before its
-    // cursor, so _ahead contributes its smallest cursor; every aligned
-    // core contributes its nextEventCycle(). The clock still lands on
-    // every delivery, fault action and watchdog deadline. A frozen
-    // core is woken by its thaw, an injector activity.
+    // cursor, so the wheel contributes its smallest cursor; every
+    // aligned core contributes its nextEventCycle(). The clock still
+    // lands on every delivery, fault action and watchdog deadline. A
+    // frozen core is woken by its thaw, an injector activity.
     constexpr std::uint64_t never =
         std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t target = _ahead.empty() ? never : _ahead.front().first;
-    if (target <= _now + 1)
-        return _now + 1;
-    for (const int p : _aligned) {
-        if (_injector && _injector->frozen(p, _now))
-            continue;
-        target = std::min(
-            target,
-            _processors[static_cast<std::size_t>(p)]->nextEventCycle(_now));
+    std::uint64_t target = firstParkedCursor();
+    for (std::size_t sp = _aligned.first(); sp < _aligned.size();
+         sp = _aligned.firstFrom(sp + 1)) {
         if (target <= _now + 1)
             return _now + 1;
+        if (_injector && _injector->frozen(static_cast<int>(sp), _now))
+            continue;
+        target = std::min(target, _processors[sp]->nextEventCycle(_now));
     }
+    if (target <= _now + 1)
+        return _now + 1;
     const std::uint64_t delivery = _network->nextDeliveryCycle();
     if (delivery != never)
         target = std::min(target, std::max(delivery, _now + 1));
@@ -893,14 +895,14 @@ Machine::skipWait(std::uint64_t target)
     // report BarrierWait and neither injector nor watchdog is live. A
     // core that ran ahead made progress on every cycle the skip would
     // cover, so it counts as wait progress.
-    bool wait_progress = _network->deliveryPending() || !_ahead.empty();
-    for (const int p : _aligned) {
-        if (wait_progress)
-            break;
-        if (_injector && _injector->frozen(p, _now))
+    bool wait_progress =
+        _network->deliveryPending() || !_wheelUsed.empty();
+    for (std::size_t sp = _aligned.first();
+         !wait_progress && sp < _aligned.size();
+         sp = _aligned.firstFrom(sp + 1)) {
+        if (_injector && _injector->frozen(static_cast<int>(sp), _now))
             continue;
-        wait_progress =
-            _processors[static_cast<std::size_t>(p)]->progressWhileWaiting();
+        wait_progress = _processors[sp]->progressWhileWaiting();
     }
     const bool would_deadlock =
         !wait_progress &&
@@ -920,11 +922,10 @@ Machine::skipWait(std::uint64_t target)
     if (stop <= _now + 1)
         return;
     const std::uint64_t skipped = stop - _now - 1;
-    for (const int p : _aligned) {
-        if (_injector && _injector->frozen(p, _now))
-            continue;
-        _processors[static_cast<std::size_t>(p)]->advanceWait(skipped);
-    }
+    _aligned.forEach([&](std::size_t sp) {
+        if (!_injector || !_injector->frozen(static_cast<int>(sp), _now))
+            _processors[sp]->advanceWait(skipped);
+    });
     _engine.skippedCycles += skipped;
     _now += skipped;
 }
@@ -1063,13 +1064,13 @@ Machine::computePrivateReadHorizons()
     // horizon(p) = min over every other live core q of
     // writeBoundFor(q), for all candidates at once with the
     // two-smallest trick. The live cores are the candidates and the
-    // cores in _ahead: fenced and halted cores can never store again,
+    // parked cores: fenced and halted cores can never store again,
     // and frozen cores cannot act before the window closes (the
     // window is clamped to the injector's next activity, and a thaw
-    // is an injector activity). A core in _ahead is Running — only
-    // private ticks moved it there — so its bound is its cursor, and
-    // the heap's two smallest cursors are its root and the lesser of
-    // the root's children.
+    // is an injector activity). A parked core is Running — only
+    // private ticks moved it there — so its bound is its cursor. It
+    // is never a candidate, so only the smallest parked cursor
+    // matters.
     constexpr std::uint64_t never =
         std::numeric_limits<std::uint64_t>::max();
     std::uint64_t m1 = never;
@@ -1084,9 +1085,7 @@ Machine::computePrivateReadHorizons()
             m2 = b;
         }
     };
-    for (std::size_t i = 0; i < std::min<std::size_t>(3, _ahead.size());
-         ++i)
-        offer(_ahead[i].first, _ahead[i].second);
+    offer(firstParkedCursor(), -1);
     for (const int q : _candidates)
         offer(writeBoundFor(q), q);
     for (const int p : _candidates) {
@@ -1114,9 +1113,9 @@ Machine::pruneSyncRecords()
     // record open forever, capping how far rotation can advance; that
     // is bounded by the processor count and is the conservative
     // choice (the un-crossed record is exactly the interesting one).
-    for (std::size_t open : _openSyncRecord) {
-        if (open != std::numeric_limits<std::size_t>::max())
-            k = std::min(k, open);
+    for (const OpenSync &open : _openSyncRecord) {
+        if (open.record != OpenSync::none)
+            k = std::min(k, open.record);
     }
     if (k == 0)
         return;
@@ -1124,12 +1123,32 @@ Machine::pruneSyncRecords()
         _syncRecords.begin(),
         _syncRecords.begin() + static_cast<std::ptrdiff_t>(k));
     _syncRecordsDropped += k;
-    for (std::size_t &open : _openSyncRecord) {
-        if (open != std::numeric_limits<std::size_t>::max())
-            open -= k;
+    for (OpenSync &open : _openSyncRecord) {
+        if (open.record != OpenSync::none)
+            open.record -= k;
     }
     if (_epochCoreTracking)
         _epochSyncPatchFrom -= k;
+}
+
+bool
+Machine::bindOpenSyncSlots()
+{
+    for (std::size_t p = 0; p < _openSyncRecord.size(); ++p) {
+        OpenSync &open = _openSyncRecord[p];
+        if (open.record == OpenSync::none)
+            continue;
+        if (open.record >= _syncRecords.size())
+            return false;
+        // Members are recorded in ascending order.
+        const auto &members = _syncRecords[open.record].members;
+        const auto it = std::lower_bound(members.begin(), members.end(),
+                                         static_cast<int>(p));
+        if (it == members.end() || *it != static_cast<int>(p))
+            return false;
+        open.slot = static_cast<std::size_t>(it - members.begin());
+    }
+    return true;
 }
 
 std::string
@@ -1377,8 +1396,8 @@ Machine::buildFullSections() const
         }
         e.u64Vec(_lastArrival);
         e.u64(_openSyncRecord.size());
-        for (std::size_t v : _openSyncRecord)
-            e.u64(v);
+        for (const OpenSync &open : _openSyncRecord)
+            e.u64(open.record);
         e.u64(_syncRecordsDropped);
         e.u64(_syncRecords.size());
         for (const SyncRecord &r : _syncRecords)
@@ -1485,8 +1504,8 @@ Machine::buildDeltaSections() const
         }
         e.u64Vec(_lastArrival);
         e.u64(_openSyncRecord.size());
-        for (std::size_t v : _openSyncRecord)
-            e.u64(v);
+        for (const OpenSync &open : _openSyncRecord)
+            e.u64(open.record);
         e.u64(_syncRecordsDropped);
         e.u64(_epochSyncPatchFrom);
         e.u64(_syncRecords.size());
@@ -1565,9 +1584,9 @@ Machine::beginDeltaEpoch()
     _epochSharerLines.clear();
     _epochSharerDirty.resize(_lineSharers.size(), false);
     _epochSyncPatchFrom = _syncRecords.size();
-    for (std::size_t open : _openSyncRecord) {
-        if (open != std::numeric_limits<std::size_t>::max())
-            _epochSyncPatchFrom = std::min(_epochSyncPatchFrom, open);
+    for (const OpenSync &open : _openSyncRecord) {
+        if (open.record != OpenSync::none)
+            _epochSyncPatchFrom = std::min(_epochSyncPatchFrom, open.record);
     }
     _epochCoreTracking = true;
 }
@@ -1746,7 +1765,7 @@ Machine::restoreState(const std::vector<std::uint8_t> &bytes,
             const std::uint64_t open = d.u64();
             for (std::uint64_t k = 0; k < open && d.ok(); ++k)
                 _openSyncRecord.push_back(
-                    static_cast<std::size_t>(d.u64()));
+                    {static_cast<std::size_t>(d.u64()), 0});
             _syncRecordsDropped = d.u64();
             _syncRecords.clear();
             const std::uint64_t records = d.u64();
@@ -1773,7 +1792,8 @@ Machine::restoreState(const std::vector<std::uint8_t> &bytes,
             const std::size_t n =
                 static_cast<std::size_t>(numProcessors());
             if (!d.done() || _fenced.size() != n ||
-                _lastArrival.size() != n || _openSyncRecord.size() != n)
+                _lastArrival.size() != n || _openSyncRecord.size() != n ||
+                !bindOpenSyncSlots())
                 return fail("machine-core");
             saw_core = true;
             break;
@@ -1928,7 +1948,7 @@ Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
             const std::uint64_t open = d.u64();
             for (std::uint64_t k = 0; k < open && d.ok(); ++k)
                 _openSyncRecord.push_back(
-                    static_cast<std::size_t>(d.u64()));
+                    {static_cast<std::size_t>(d.u64()), 0});
             // Rotation first: the source may have pruned old records
             // since its predecessor was captured; drop the same count
             // from the front so the vector indices below line up.
@@ -1976,7 +1996,8 @@ Machine::applyDeltaState(const std::vector<std::uint8_t> &bytes,
             const std::size_t n =
                 static_cast<std::size_t>(numProcessors());
             if (!d.done() || _fenced.size() != n ||
-                _lastArrival.size() != n || _openSyncRecord.size() != n)
+                _lastArrival.size() != n || _openSyncRecord.size() != n ||
+                !bindOpenSyncSlots())
                 return fail("core-delta");
             saw_core = true;
             break;

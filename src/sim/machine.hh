@@ -26,6 +26,7 @@
 #include "sim/processor.hh"
 #include "sim/trace.hh"
 #include "snapshot/format.hh"
+#include "support/hibitset.hh"
 
 namespace fb::sim
 {
@@ -71,6 +72,9 @@ struct EngineStats
     /** Window candidates over those windows: one runPrivate() each. */
     std::uint64_t windowCandidates = 0;
     std::uint64_t skippedCycles = 0;    ///< cycles skipWait() jumped
+    /** Cycles the window candidates advanced through private ticks. */
+    std::uint64_t privateCycles = 0;
+    std::uint64_t parkedCores = 0;      ///< cores entered into the wheel
 };
 
 /** Result of a whole-machine run. */
@@ -398,8 +402,8 @@ class Machine : public ExecutionObserver
     // The phases of one run() iteration, in order. Each works on
     // _now; only advanceFast() moves the clock beyond the next cycle.
 
-    /** Move the cores whose run-ahead ends at _now from _ahead back
-     * into _aligned. */
+    /** Move the cores whose run-ahead ends at _now from the wheel
+     * back into _aligned. */
     void admitDueCores();
 
     /** Apply the fault injector's actions due at _now. */
@@ -442,8 +446,12 @@ class Machine : public ExecutionObserver
      * @p window (publishes the private-read horizons first). */
     bool windowUseful(std::uint64_t window);
 
-    /** Move the candidates that ran ahead from _aligned into _ahead. */
+    /** Move the candidates that ran ahead from _aligned into the
+     * wheel. */
     void parkAheadCores();
+
+    /** Smallest cursor in the wheel (UINT64_MAX when it is empty). */
+    std::uint64_t firstParkedCursor() const;
 
     /** The cycle the clock may skip to: the earliest cycle after _now
      * at which some core, delivery, fault or watchdog acts. */
@@ -549,13 +557,27 @@ class Machine : public ExecutionObserver
     // prefix, so _openSyncRecord / _epochSyncPatchFrom keep using
     // absolute indices (vector position = absolute - dropped).
     std::vector<std::uint64_t> _lastArrival;
-    std::vector<std::size_t> _openSyncRecord;
+    /** Processor p's still-uncrossed episode: its record and p's slot
+     * among the record's members, so onCross() patches the crossing
+     * without a search. Snapshots carry only the record; a restore
+     * re-derives the slot (bindOpenSyncSlots). */
+    struct OpenSync
+    {
+        static constexpr std::size_t none = ~std::size_t{0};
+        std::size_t record = none;
+        std::size_t slot = 0;
+    };
+    std::vector<OpenSync> _openSyncRecord;
     std::vector<SyncRecord> _syncRecords;
     std::uint64_t _syncRecordsDropped = 0;
 
     /** Rotate records beyond the window out of _syncRecords, never
      * touching open records or the current delta epoch's patch tail. */
     void pruneSyncRecords();
+
+    /** Find each open record's member slot after a restore; false if
+     * an open record does not list its processor. */
+    bool bindOpenSyncSlots();
 
     // Run-loop state, rebuilt at every run() entry and never
     // serialized (windows never span a checkpoint boundary, so every
@@ -571,20 +593,33 @@ class Machine : public ExecutionObserver
      */
     std::vector<std::uint64_t> _procNext;
     /** Processors that still tick and have not run ahead: their
-     * cursor is at or behind the clock. Ascending — tick order is
-     * architectural (FAA atomicity, bus request ordering). */
-    std::vector<int> _aligned;
-    /** Processors that ran ahead, as a min-heap of (_procNext[p], p).
-     * Each owes the tick at its cursor, which the coordinator runs
-     * when the clock lands there (admitDueCores); until then it is
-     * never a window candidate. */
-    std::vector<std::pair<std::uint64_t, int>> _ahead;
+     * cursor is at or behind the clock. Walked in ascending order —
+     * tick order is architectural (FAA atomicity, bus request
+     * ordering). */
+    HiBitset _aligned;
+    /**
+     * Processors that ran ahead, on a calendar wheel of wheelSlots
+     * cycle slots: slot c % wheelSlots heads an intrusive list
+     * (_wheelHead, linked through _wheelNext) of the cores whose
+     * cursor is c, and _wheelUsed marks the nonempty slots. Each
+     * parked core owes the tick at its cursor, which the coordinator
+     * runs when the clock lands there (admitDueCores); until then it
+     * is never a window candidate. A window stops at most wheelSlots
+     * cycles past the clock (its span is clamped to wheelSlots - 1)
+     * and the clock never passes a parked cursor, so once the due
+     * cores are admitted every parked cursor lies in
+     * [_now + 1, _now + wheelSlots]: a slot holds one cycle's cores.
+     */
+    static constexpr std::size_t wheelSlots = HiBitset::maxCapacity;
+    /** Valid only where _wheelUsed is set; left uninitialized so the
+     * pages of slots a run never uses are never touched. */
+    std::unique_ptr<int[]> _wheelHead;
+    std::vector<int> _wheelNext;
+    HiBitset _wheelUsed;
     /** This iteration's window candidates: the processors stepCores
      * ticked, ascending. Written before a window's release barrier,
      * read by the shard threads. */
     std::vector<int> _candidates;
-    /** Merge buffer for admitDueCores(). */
-    std::vector<int> _admitScratch;
     EngineStats _engine;
     /** (tag, processor) pairs of one delivery, for episode grouping. */
     std::vector<std::pair<std::uint32_t, int>> _groupScratch;

@@ -150,6 +150,29 @@ class HiBitset
                static_cast<std::size_t>(std::countr_zero(_words[w]));
     }
 
+    /** Lowest member at or above @p idx, or size() when there is none
+     * (also when @p idx >= size()); O(1) word probes. */
+    std::size_t firstFrom(std::size_t idx) const
+    {
+        if (idx >= _size)
+            return _size;
+        const std::size_t w = idx / bitsPerWord;
+        const std::uint64_t here =
+            _words[w] & (~std::uint64_t{0} << (idx % bitsPerWord));
+        if (here != 0)
+            return w * bitsPerWord +
+                   static_cast<std::size_t>(std::countr_zero(here));
+        // Summary words strictly above w (w + 1 < 64 or none).
+        const std::uint64_t later =
+            w + 1 < bitsPerWord ? _summary & (~std::uint64_t{0} << (w + 1))
+                                : 0;
+        if (later == 0)
+            return _size;
+        const int next = std::countr_zero(later);
+        return static_cast<std::size_t>(next) * bitsPerWord +
+               static_cast<std::size_t>(std::countr_zero(_words[next]));
+    }
+
     /** Invoke @p fn(index) for every member in ascending order. */
     template <typename Fn>
     void forEach(Fn &&fn) const

@@ -10,11 +10,13 @@
  * corpus as the equivalence suite (tests/harness.hh) across shard
  * counts {1,2,4,7} x quanta {1,16,256,4096}, including fault plans,
  * watchdog recovery, and mid-run checkpoint/restore with snapshots
- * crossing shard settings. Also the TSan target for the shard
- * rendezvous (see .github/workflows/ci.yml).
+ * crossing shard settings, and the run-ahead wheel's edge cases
+ * (RunAheadWheel.*). Also the TSan target for the shard rendezvous
+ * (see .github/workflows/ci.yml).
  */
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -353,6 +355,139 @@ TEST(Sharded, FallsBackWhenShardingCannotApply)
         sim::Machine m(cfg);
         EXPECT_EQ(exec::ShardedMachine(m).shards(), 2);
     }
+}
+
+// --- The run-ahead wheel (INTERNALS section 14) -------------------
+//
+// Cores that run ahead of the clock wait on a calendar wheel of
+// 4096 cycle slots until the clock reaches their cursor. These pin
+// its edge cases against the per-cycle reference.
+
+/**
+ * A fuzzy-barrier loop over the processors in @p mask: @p episodes
+ * iterations of @p work straight-line private instructions and a
+ * two-instruction barrier region, then the work count to word 16 + p.
+ */
+isa::Program
+stretchProgram(int p, int episodes, int work, std::uint64_t mask)
+{
+    std::ostringstream oss;
+    oss << "settag 1\n";
+    oss << "setmask " << mask << "\n";
+    oss << "li r1, 0\n";
+    oss << "li r2, " << episodes << "\n";
+    oss << "loop:\n";
+    for (int k = 0; k < work; ++k)
+        oss << "addi r3, r3, 1\n";
+    oss << ".region 1\n";
+    oss << "addi r4, r4, 1\n";
+    oss << "addi r1, r1, 1\n";
+    oss << "bne r1, r2, loop\n";
+    oss << ".endregion\n";
+    oss << "st r3, " << 16 + p << "(r0)\n";
+    oss << "halt\n";
+    isa::Program prog;
+    std::string err;
+    EXPECT_TRUE(isa::Assembler::assemble(oss.str(), prog, err)) << err;
+    return prog;
+}
+
+/** Four processors, three with a private stretch longer than the
+ * wheel. A window longer than the wheel would park cpu0 at ~1000 and
+ * cpu1 at ~4500, whose slot (~400) comes first from the clock's. */
+std::vector<isa::Program>
+longStretchPrograms()
+{
+    std::vector<isa::Program> progs;
+    const int work[] = {1000, 4500, 5200, 6600};
+    for (int p = 0; p < 4; ++p)
+        progs.push_back(stretchProgram(p, 3, work[p], 0b1111));
+    return progs;
+}
+
+sim::MachineConfig
+wheelConfig(int procs)
+{
+    sim::MachineConfig cfg;
+    cfg.numProcessors = procs;
+    cfg.memWords = 1024;
+    cfg.maxCycles = 1'000'000;
+    cfg.seed = 7;
+    cfg.jitterMean = 0.5;
+    return cfg;
+}
+
+Observation
+referenceRun(sim::MachineConfig cfg, const std::vector<isa::Program> &progs)
+{
+    cfg.fastForward = false;
+    cfg.shardCount = 1;
+    sim::Machine m(cfg);
+    return observeRun(cfg.numProcessors, progs, m);
+}
+
+TEST(RunAheadWheel, PrivateStretchLongerThanWheel)
+{
+    // More than 4096 private cycles between episodes: a window spans
+    // the whole wheel, so a parked cursor shares its slot number with
+    // the clock and later cursors wrap the ring.
+    const auto progs = longStretchPrograms();
+    const sim::MachineConfig cfg = wheelConfig(4);
+    sim::Machine m(cfg);
+    const Observation fast = observeRun(4, progs, m);
+    expectIdentical(fast, referenceRun(cfg, progs), "long stretch");
+    const sim::EngineStats &e = fast.result.engine;
+    EXPECT_EQ(fast.result.syncEvents, 3u);
+    EXPECT_GT(fast.result.cycles, 3u * 6600u);
+    EXPECT_GT(e.parkedCores, 0u);
+    EXPECT_GT(e.privateCycles, 3u * (1000u + 4500u + 5200u + 6600u) / 2);
+    // The clock jumps from cursor to cursor, across the wrap too,
+    // instead of stepping through the stretches.
+    EXPECT_LT(e.iterations, fast.result.cycles / 100)
+        << e.iterations << " iterations";
+}
+
+TEST(RunAheadWheel, ShardedQuantumAboveWheelClamp)
+{
+    // A shard quantum larger than the wheel is clamped to its span;
+    // results must not depend on it.
+    const auto progs = longStretchPrograms();
+    sim::MachineConfig cfg = wheelConfig(4);
+    cfg.shardCount = 2;
+    cfg.shardQuantum = 10'000;
+    sim::Machine m(cfg);
+    ASSERT_EQ(exec::ShardedMachine(m).shards(), 2);
+    const Observation sharded = observeRun(4, progs, m);
+    expectIdentical(sharded, referenceRun(cfg, progs), "quantum 10000");
+    EXPECT_GT(sharded.result.engine.parkedCores, 0u);
+}
+
+TEST(RunAheadWheel, WatchdogFencesStragglerMidStretch)
+{
+    // cpu0 reaches the barrier within a few cycles; cpu1 has 3000
+    // private instructions to go. The watchdog arms once cpu0 waits
+    // and, after one timeout (maxAttempts 1), fences the live
+    // straggler mid-stretch. The window that cpu1 runs ahead in opens
+    // before the timer is armed, so the window must already end by
+    // the earliest deadline a timer could get, or cpu1 would have
+    // executed past its fence.
+    std::vector<isa::Program> progs = {stretchProgram(0, 2, 1, 0b11),
+                                       stretchProgram(1, 2, 3000, 0b11)};
+    sim::MachineConfig cfg = wheelConfig(2);
+    cfg.jitterMean = 0.0;
+    cfg.watchdog.enabled = true;
+    cfg.watchdog.timeoutCycles = 100;
+    cfg.watchdog.maxAttempts = 1;
+    sim::Machine m(cfg);
+    const Observation fast = observeRun(2, progs, m);
+    expectIdentical(fast, referenceRun(cfg, progs), "fenced straggler");
+    EXPECT_EQ(fast.result.deadDeclared, (std::vector<int>{1}));
+    ASSERT_EQ(fast.result.recoveries.size(), 1u);
+    EXPECT_LT(fast.result.recoveries[0].cycle, 3000u);
+    EXPECT_LT(fast.result.perProcessor[1].instructions, 3000u);
+    EXPECT_GT(fast.result.engine.parkedCores, 0u);
+    EXPECT_GT(fast.result.engine.privateCycles,
+              fast.result.recoveries[0].cycle / 2);
 }
 
 } // namespace

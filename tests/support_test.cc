@@ -267,6 +267,60 @@ TEST(HiBitset, ForEachAscending)
     EXPECT_EQ(seen, members);
 }
 
+TEST(HiBitset, FirstFromEmptySet)
+{
+    HiBitset hs(300);
+    EXPECT_EQ(hs.firstFrom(0), 300u);
+    EXPECT_EQ(hs.firstFrom(64), 300u);
+    EXPECT_EQ(hs.firstFrom(299), 300u);
+}
+
+TEST(HiBitset, FirstFromAtWordBoundary)
+{
+    HiBitset hs(300);
+    hs.set(63);
+    hs.set(64);
+    hs.set(128);
+    EXPECT_EQ(hs.firstFrom(63), 63u);   // last bit of word 0
+    EXPECT_EQ(hs.firstFrom(64), 64u);   // first bit of word 1
+    EXPECT_EQ(hs.firstFrom(65), 128u);  // first bit of word 2
+    EXPECT_EQ(hs.firstFrom(128), 128u);
+}
+
+TEST(HiBitset, FirstFromFindsMemberInLaterWord)
+{
+    // Words 1..4 are empty: the answer comes from the summary level.
+    HiBitset hs(1024);
+    hs.set(5);
+    hs.set(700);
+    EXPECT_EQ(hs.firstFrom(6), 700u);
+    EXPECT_EQ(hs.firstFrom(63), 700u);
+    EXPECT_EQ(hs.firstFrom(699), 700u);
+    EXPECT_EQ(hs.firstFrom(0), 5u);
+}
+
+TEST(HiBitset, FirstFromPastLastMember)
+{
+    HiBitset hs(HiBitset::maxCapacity);
+    hs.set(10);
+    hs.set(4000);
+    EXPECT_EQ(hs.firstFrom(11), 4000u);
+    EXPECT_EQ(hs.firstFrom(4001), HiBitset::maxCapacity);
+    hs.set(HiBitset::maxCapacity - 1);  // last bit of the last word
+    EXPECT_EQ(hs.firstFrom(4001), HiBitset::maxCapacity - 1);
+    EXPECT_EQ(hs.firstFrom(HiBitset::maxCapacity - 1),
+              HiBitset::maxCapacity - 1);
+}
+
+TEST(HiBitset, FirstFromAtOrBeyondSize)
+{
+    HiBitset hs(300);
+    hs.set(299);
+    EXPECT_EQ(hs.firstFrom(299), 299u);
+    EXPECT_EQ(hs.firstFrom(300), 300u);
+    EXPECT_EQ(hs.firstFrom(5000), 300u);
+}
+
 TEST(HiBitset, ClearAllAndResize)
 {
     HiBitset hs(1024);

@@ -171,6 +171,9 @@ TEST_P(Wide1024Shape, BarrierLoopFastMatchesReference)
     EXPECT_GT(fast.engine.windows, 0u);
     EXPECT_LE(fast.engine.windowCandidates, fast.engine.coordinatorTicks)
         << GetParam() << ": " << fast.engine.windows << " windows";
+    // Cores run ahead through private ticks and wait on the wheel.
+    EXPECT_GT(fast.engine.privateCycles, 0u) << GetParam();
+    EXPECT_GT(fast.engine.parkedCores, 0u) << GetParam();
 }
 
 TEST_P(Wide1024Shape, ShardedMatchesReference)
