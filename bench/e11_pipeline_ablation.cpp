@@ -38,14 +38,13 @@ waitPerEpisode(int depth, int region)
     cfg.pipelineDepth = depth;
     cfg.jitterMean = 1.0;
     cfg.seed = 11;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(
             p, core::buildBarrierLoop(core::SimBarrierKind::HardwareFuzzy,
                                       kProcs, p, kEpisodes, kWork,
                                       region));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E11 run failed\n");
         std::exit(1);
@@ -56,8 +55,8 @@ waitPerEpisode(int depth, int region)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E11 (ablation, section 2): barrier wait per "
                     "episode per processor vs pipeline depth and "
@@ -65,12 +64,30 @@ benchMain()
     table.setHeader({"pipeline depth", "region 0", "region 16",
                      "region 64"});
 
+    Verdict verdict("E11");
+    double point_depth1 = 0;
     for (int depth : {1, 2, 4, 8, 16}) {
+        const double point = waitPerEpisode(depth, 0);
+        const double region16 = waitPerEpisode(depth, 16);
+        const double region64 = waitPerEpisode(depth, 64);
         table.row()
             .cell(static_cast<std::int64_t>(depth))
-            .cell(waitPerEpisode(depth, 0), 1)
-            .cell(waitPerEpisode(depth, 16), 1)
-            .cell(waitPerEpisode(depth, 64), 1);
+            .cell(point, 1)
+            .cell(region16, 1)
+            .cell(region64, 1);
+
+        // A 64-instruction region hides the drain at every depth.
+        verdict.require(region64 <= 1,
+                        "region-64 wait is %.2f cycles at depth %d, above 1",
+                        region64, depth);
+        if (depth == 1)
+            point_depth1 = point;
+        // The point barrier pays the drain: its wait grows with depth.
+        if (depth == 16)
+            verdict.require(point > 3 * point_depth1,
+                            "region-0 wait at depth 16 (%.2f) is not > 3x "
+                            "the wait at depth 1 (%.2f)",
+                            point, point_depth1);
     }
     table.print(std::cout);
 
@@ -78,13 +95,5 @@ benchMain()
                "every episode (wait grows with depth); a barrier "
                "region hides the drain behind issued region "
                "instructions, so pipelining stops hurting");
-    return 0;
-}
-
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(1000, [&rc] { rc = benchMain(); });
-    return rc;
+    return verdict.exitCode();
 }

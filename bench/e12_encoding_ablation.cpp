@@ -67,7 +67,6 @@ measure(int regions_per_iter, int work, int region)
         sim::MachineConfig cfg;
         cfg.numProcessors = kProcs;
         cfg.memWords = 1 << 14;
-        applyEnvOverrides(cfg);
         sim::Machine machine(cfg);
         std::size_t size = 0;
         for (int p = 0; p < kProcs; ++p) {
@@ -78,7 +77,7 @@ measure(int regions_per_iter, int work, int region)
             size = prog.size();
             machine.loadProgram(p, std::move(prog));
         }
-        auto r = runTallied(machine);
+        auto r = machine.run();
         if (r.deadlocked || r.timedOut) {
             std::fprintf(stderr, "E12 run failed\n");
             std::exit(1);
@@ -92,14 +91,15 @@ measure(int regions_per_iter, int work, int region)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E12 (ablation, section 6): region-bit vs "
                     "BRENTER/BREXIT marker encoding");
     table.setHeader({"regions/iter", "bit cycles", "marker cycles",
                      "overhead/episode", "bit instrs", "marker instrs"});
 
+    Verdict verdict("E12");
     for (int regions : {1, 2, 5}) {
         auto row = measure(regions, 10, 8);
         double overhead =
@@ -113,6 +113,11 @@ benchMain()
             .cell(overhead, 2)
             .cell(static_cast<std::uint64_t>(row.bitSize))
             .cell(static_cast<std::uint64_t>(row.markerSize));
+        // The executed BRENTER/BREXIT pair: ~2 cycles per episode.
+        verdict.require(overhead >= 2.0 && overhead <= 2.1,
+                        "%d regions/iter: marker overhead %.2f "
+                        "cycles/episode, outside [2.0, 2.1]",
+                        regions, overhead);
     }
     table.print(std::cout);
 
@@ -120,13 +125,5 @@ benchMain()
                "executed marker instructions per region boundary per "
                "episode (plus extra markers at branch targets); the "
                "bit encoding has zero execution overhead");
-    return 0;
-}
-
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(5000, [&rc] { rc = benchMain(); });
-    return rc;
+    return verdict.exitCode();
 }

@@ -107,12 +107,11 @@ measure(bool self_sched)
     cfg.memWords = 4096;
     cfg.maxCycles = 50'000'000;
     cfg.busKind = sim::BusKind::Banked;
-    applyEnvOverrides(cfg);
     sim::Machine m(cfg);
     for (int p = 0; p < kProcs; ++p)
         m.loadProgram(p, assembleOrDie(self_sched ? selfSchedSource()
                                                   : staticSource(p)));
-    auto r = runTallied(m);
+    auto r = m.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E14 run failed\n");
         std::exit(1);
@@ -122,8 +121,8 @@ measure(bool self_sched)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E14 (section 7.4): run-time self-scheduling via "
                     "fetch-and-add vs static split, 64 non-uniform "
@@ -149,13 +148,14 @@ benchMain()
                "idle at the closing barrier and lower makespan) at the "
                "price of shared-index traffic — the trade-off behind "
                "compiler-assisted run-time scheduling");
-    return 0;
-}
 
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(10000, [&rc] { rc = benchMain(); });
-    return rc;
+    Verdict verdict("E14");
+    verdict.require(dyn.cycles < stat.cycles && dyn.idle < stat.idle,
+                    "self-sched makespan %llu / idle %llu, not below "
+                    "static's %llu / %llu",
+                    static_cast<unsigned long long>(dyn.cycles),
+                    static_cast<unsigned long long>(dyn.idle),
+                    static_cast<unsigned long long>(stat.cycles),
+                    static_cast<unsigned long long>(stat.idle));
+    return verdict.exitCode();
 }

@@ -31,14 +31,13 @@ costPerEpisode(std::uint32_t latency, int region)
     cfg.numProcessors = kProcs;
     cfg.memWords = 1 << 14;
     cfg.syncLatency = latency;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(
             p, core::buildBarrierLoop(core::SimBarrierKind::HardwareFuzzy,
                                       kProcs, p, kEpisodes, kWork,
                                       region));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E15 run failed\n");
         std::exit(1);
@@ -51,8 +50,8 @@ costPerEpisode(std::uint32_t latency, int region)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E15 (ablation, section 6): broadcast propagation "
                     "latency vs region size (extra cycles per episode, "
@@ -60,13 +59,27 @@ benchMain()
     table.setHeader({"sync latency", "region 0", "region 16",
                      "region 32", "region 64"});
 
+    Verdict verdict("E15");
     for (std::uint32_t latency : {0u, 5u, 10u, 20u, 40u}) {
-        table.row()
-            .cell(static_cast<std::int64_t>(latency))
-            .cell(costPerEpisode(latency, 0), 1)
-            .cell(costPerEpisode(latency, 16), 1)
-            .cell(costPerEpisode(latency, 32), 1)
-            .cell(costPerEpisode(latency, 64), 1);
+        table.row().cell(static_cast<std::int64_t>(latency));
+        for (int region : {0, 16, 32, 64}) {
+            const double extra = costPerEpisode(latency, region);
+            table.cell(extra, 1);
+            // A region hides at most its own length of the delay: a
+            // point barrier pays all of it.
+            const double hidden_floor = std::max(
+                0.0, static_cast<double>(latency) - region - 1);
+            verdict.require(extra >= hidden_floor,
+                            "latency %u region %d: %.2f extra cycles, "
+                            "below %.0f",
+                            latency, region, extra, hidden_floor);
+            // Once the region covers the delay, the cost is gone.
+            if (region >= static_cast<int>(latency))
+                verdict.require(extra <= 0.5,
+                                "latency %u region %d: %.2f extra cycles, "
+                                "above 0.5",
+                                latency, region, extra);
+        }
     }
     table.print(std::cout);
 
@@ -74,13 +87,5 @@ benchMain()
                "episode; once the region exceeds the delay the cost "
                "returns to near zero — larger (slower-broadcast) "
                "machines just need proportionally larger regions");
-    return 0;
-}
-
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(1000, [&rc] { rc = benchMain(); });
-    return rc;
+    return verdict.exitCode();
 }

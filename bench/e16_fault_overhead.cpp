@@ -38,14 +38,13 @@ runCycles(const fault::FaultPlan *plan, bool watchdog)
         cfg.watchdog.timeoutCycles = 10'000;
         cfg.watchdog.maxAttempts = 3;
     }
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(
             p, core::buildBarrierLoop(core::SimBarrierKind::HardwareFuzzy,
                                       kProcs, p, kEpisodes, kWork,
                                       kRegion));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E16 run failed\n");
         std::exit(1);

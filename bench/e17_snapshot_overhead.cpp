@@ -21,8 +21,8 @@
  * reported overhead compares best-of-rep floors: host noise is purely
  * additive, so the minimum wall time per mode is the stable estimator
  * of its true cost, and interleaving keeps slow background neighbors
- * from biasing one mode's floor. The delta tallies are gated
- * absolutely by bench/check_perf_regression.sh.
+ * from biasing one mode's floor. The two delta tallies carry
+ * absolute budgets (see main): the bench exits 1 when either is over.
  */
 
 #include "common.hh"
@@ -89,7 +89,6 @@ runOnce(Mode mode, const std::string &storeDir)
     cfg.memWords = 1 << 14;
     if (mode != Mode::Off)
         cfg.checkpointEveryCycles = kCheckpointEvery;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(
@@ -154,7 +153,7 @@ runOnce(Mode mode, const std::string &storeDir)
     }
 
     const auto start = std::chrono::steady_clock::now();
-    auto r = runTallied(machine);
+    auto r = machine.run();
     // DeltaAsync times the run alone — the claim under test is that
     // Machine::run never waits on stable storage (the writer overlaps
     // where the host allows it and defers every fsync regardless).
@@ -277,5 +276,28 @@ main()
                "run; the async and durable delta tallies are the "
                "gated numbers that keep checkpointing on by default "
                "in campaigns");
-    return 0;
+
+    // Budgets that keep checkpointing cheap enough to stay on by
+    // default, as a share of the plain run's wall clock, with 20%
+    // headroom for host noise.
+    constexpr double kHeadroom = 1.2;
+    struct Budget
+    {
+        std::size_t mode;
+        const char *name;
+        double pct;
+    };
+    bool within = true;
+    for (const Budget &b : {Budget{2, "delta-async", 12.0},
+                            Budget{3, "delta-durable", 28.0}}) {
+        const double allowed = b.pct * kHeadroom;
+        if (pct[b.mode] > allowed) {
+            within = false;
+            std::fprintf(stderr,
+                         "E17 FAIL: %s overhead %.2f%% exceeds its "
+                         "budget %.0f%% + 20%% headroom (%.1f%%)\n",
+                         b.name, pct[b.mode], b.pct, allowed);
+        }
+    }
+    return within ? 0 : 1;
 }

@@ -15,7 +15,8 @@
  * This bench runs a 64-processor hardware-fuzzy barrier workload with
  * a heavy private-work region (the shardable fraction) at shard
  * counts 1/2/4/8 and reports wall-clock speedup over the sequential
- * core, failing loudly if any fingerprint drifts.
+ * core, failing loudly if any fingerprint drifts or if the 4-shard
+ * speedup falls below its floor.
  */
 
 #include "common.hh"
@@ -81,7 +82,6 @@ runWithShards(int shards)
     cfg.busKind = sim::BusKind::Banked;
     cfg.shardCount = shards;
     cfg.shardQuantum = shards > 1 ? kQuantum : 0;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(
@@ -92,7 +92,6 @@ runWithShards(int shards)
     const auto start = std::chrono::steady_clock::now();
     auto r = sharded.run();
     const auto end = std::chrono::steady_clock::now();
-    tallyCycles(r);
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E19 run failed at shards=%d\n", shards);
         std::exit(1);
@@ -122,11 +121,14 @@ main()
     const ShardRun base = runWithShards(1);
     std::printf("shard-wall-seconds-1: %.6f\n", base.wallSeconds);
 
-    bool all_identical = true;
+    // Floor on the 4-shard speedup: the 0.84 this workload measured
+    // when the floor was set, less 20% headroom for host noise.
+    constexpr double kSpeedup4Floor = 0.84 * 0.8;
+    bool ok = true;
     for (int shards : {2, 4, 8}) {
         const ShardRun run = runWithShards(shards);
         const bool identical = run.fingerprint == base.fingerprint;
-        all_identical = all_identical && identical;
+        ok = ok && identical;
         const double speedup =
             run.wallSeconds > 0 ? base.wallSeconds / run.wallSeconds : 0;
         table.row()
@@ -140,6 +142,13 @@ main()
                          "E19 FAIL: shards=%d fingerprint differs from "
                          "sequential core\n",
                          shards);
+        if (shards == 4 && speedup < kSpeedup4Floor) {
+            ok = false;
+            std::fprintf(stderr,
+                         "E19 FAIL: 4-shard speedup %.2f is below its "
+                         "floor %.3f\n",
+                         speedup, kSpeedup4Floor);
+        }
     }
     table.print(std::cout);
 
@@ -147,5 +156,5 @@ main()
                "ahead through provably-private work under a quantum skew "
                "window, so the simulator scales across threads while "
                "staying bit-identical to the sequential core");
-    return all_identical ? 0 : 1;
+    return ok ? 0 : 1;
 }

@@ -56,7 +56,6 @@ measure(double fraction)
     cfg.stall = sim::StallModel::software(65'000, 65'000);
     cfg.maxCycles = 2'000'000'000;
 
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < procs; ++p) {
         machine.loadProgram(
@@ -64,7 +63,7 @@ measure(double fraction)
                                       procs, p, episodes, work_instrs,
                                       region_instrs));
     }
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E1 run failed (deadlock/timeout)\n");
         std::exit(1);
@@ -99,8 +98,9 @@ main()
     table.setHeader({"region/body", "us/sync/proc", "ctx switches",
                      "stalled episodes"});
 
+    std::vector<Point> points;
     for (double f : {0.0, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50}) {
-        auto p = measure(f);
+        const Point &p = points.emplace_back(measure(f));
         table.row()
             .cell(p.regionFraction, 2)
             .cell(p.usPerSync, 1)
@@ -109,9 +109,27 @@ main()
     }
     table.print(std::cout);
 
-    fb::bench::printClaim(
+    printClaim(
         "cost drops ~10,000 us -> ~300 us as the region grows from 0 to "
         "half the loop body; cost is dominated by context saves/restores "
         "of stalled tasks");
-    return 0;
+
+    // From a region of a fifth of the body on, nothing stalls and the
+    // cost sits on the library floor, an order of magnitude below the
+    // point barrier's.
+    Verdict verdict("E1");
+    const Point &point = points.front();
+    for (const Point &p : points) {
+        if (p.regionFraction < 0.2)
+            continue;
+        verdict.require(point.usPerSync >= 10 * p.usPerSync,
+                        "cost at f=0 (%.1f us) is not >= 10x the cost at "
+                        "f=%.2f (%.1f us)",
+                        point.usPerSync, p.regionFraction, p.usPerSync);
+        verdict.require(p.contextSwitches == 0,
+                        "%llu context switches at f=%.2f, expected 0",
+                        static_cast<unsigned long long>(p.contextSwitches),
+                        p.regionFraction);
+    }
+    return verdict.exitCode();
 }

@@ -82,14 +82,13 @@ measure(int procs, int heavy_extra, bool if_in_region)
     cfg.numProcessors = procs;
     cfg.memWords = 1 << 14;
     cfg.seed = 7;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < procs; ++p) {
         machine.loadProgram(
             p, assembleOrDie(streamSource(procs, 1234 + 77 * p,
                                           heavy_extra, if_in_region)));
     }
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E2 run failed\n");
         std::exit(1);
@@ -99,18 +98,30 @@ measure(int procs, int heavy_extra, bool if_in_region)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E2 (Fig. 7): if-statements with unequal paths, "
                     "point barrier vs if-statement inside the region");
     table.setHeader({"procs", "path gap", "barrier", "stalled episodes",
                      "wait cycles", "total cycles"});
 
+    Verdict verdict("E2");
     for (int procs : {2, 4, 8}) {
         for (int heavy : {8, 24}) {
             auto point = measure(procs, heavy, false);
             auto fuzzy = measure(procs, heavy, true);
+            // The if-statement in the region absorbs path variation
+            // the point barrier must wait out, in every cell.
+            verdict.require(fuzzy.stalled < point.stalled &&
+                                fuzzy.wait < point.wait,
+                            "P=%d gap %d: if-in-region stalls %llu / waits "
+                            "%llu, not below point's %llu / %llu",
+                            procs, heavy,
+                            static_cast<unsigned long long>(fuzzy.stalled),
+                            static_cast<unsigned long long>(fuzzy.wait),
+                            static_cast<unsigned long long>(point.stalled),
+                            static_cast<unsigned long long>(point.wait));
             table.row()
                 .cell(static_cast<std::int64_t>(procs))
                 .cell(static_cast<std::int64_t>(heavy))
@@ -133,13 +144,5 @@ benchMain()
                "processors taking different paths may not have to stall "
                "(Fig. 7(b)(ii)); with a single-instruction barrier the "
                "short-path processor always waits");
-    return 0;
-}
-
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(5000, [&rc] { rc = benchMain(); });
-    return rc;
+    return verdict.exitCode();
 }

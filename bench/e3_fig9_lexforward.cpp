@@ -17,22 +17,18 @@
 
 #include "common.hh"
 
-namespace
-{
-
 using namespace fb;
 using namespace fb::bench;
 
-} // namespace
-
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E3 (Figs. 9/10): two-barrier loop, reordered "
                     "regions vs point barriers, under drift");
     table.setHeader({"procs", "jitter", "version", "correct",
                      "stalled episodes", "wait cycles", "total cycles"});
 
+    Verdict verdict("E3");
     for (int n : {2, 4, 8}) {
         for (double jitter : {0.0, 2.0, 5.0}) {
             core::LexForwardWorkload wl(n, 20);
@@ -41,12 +37,25 @@ benchMain()
             cfg.memWords = 1 << 15;
             cfg.jitterMean = jitter;
             cfg.seed = 31337;
-            applyEnvOverrides(cfg);
 
             auto fuzzy = core::runLexForward(wl, cfg, true);
             auto point = core::runLexForward(wl, cfg, false);
-            tallyCycles(fuzzy.result);
-            tallyCycles(point.result);
+            // Both versions compute the host recurrence exactly, and
+            // the Fig. 10 regions wait less than point barriers.
+            verdict.require(point.correct && fuzzy.correct,
+                            "P=%d jitter %.1f: memory differs from the "
+                            "host recurrence (point %s, reordered %s)",
+                            n, jitter, point.correct ? "ok" : "wrong",
+                            fuzzy.correct ? "ok" : "wrong");
+            verdict.require(fuzzy.result.totalBarrierWait() <
+                                point.result.totalBarrierWait(),
+                            "P=%d jitter %.1f: reordered waits %llu cycles, "
+                            "not below point's %llu",
+                            n, jitter,
+                            static_cast<unsigned long long>(
+                                fuzzy.result.totalBarrierWait()),
+                            static_cast<unsigned long long>(
+                                point.result.totalBarrierWait()));
 
             table.row()
                 .cell(static_cast<std::int64_t>(n))
@@ -72,13 +81,5 @@ benchMain()
                "number of instructions and hence the code is tolerant of "
                "significant drift in execution of different streams "
                "(section 7.2); both versions compute identical results");
-    return 0;
-}
-
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(2000, [&rc] { rc = benchMain(); });
-    return rc;
+    return verdict.exitCode();
 }

@@ -104,13 +104,12 @@ measure(bool rotating, bool fuzzy)
     sim::MachineConfig cfg;
     cfg.numProcessors = kProcs;
     cfg.memWords = 1 << 14;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(p,
                             assembleOrDie(streamSource(p, rotating,
                                                        fuzzy)));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E4 run failed\n");
         std::exit(1);
@@ -120,8 +119,8 @@ measure(bool rotating, bool fuzzy)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E4 (Fig. 11): 4 iterations on 3 processors, "
                     "12 outer iterations (equal instruction counts in "
@@ -136,12 +135,13 @@ benchMain()
         bool rotating;
         bool fuzzy;
     };
+    std::vector<Row> rows;
     for (const Variant &v :
          {Variant{"fixed", "point", false, false},
           Variant{"fixed", "fuzzy", false, true},
           Variant{"rotating", "point", true, false},
           Variant{"rotating", "fuzzy", true, true}}) {
-        auto row = measure(v.rotating, v.fuzzy);
+        const Row &row = rows.emplace_back(measure(v.rotating, v.fuzzy));
         table.row()
             .cell(v.sched)
             .cell(v.barrier)
@@ -156,13 +156,22 @@ benchMain()
                "iterations the idling of processors is potentially "
                "eliminated (Fig. 11(c)); neither rotation nor regions "
                "alone suffices");
-    return 0;
-}
 
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(10000, [&rc] { rc = benchMain(); });
-    return rc;
+    // Rotation and regions together eliminate the idling; regions
+    // alone leave a persistent imbalance almost untouched.
+    Verdict verdict("E4");
+    const Row &fixed_point = rows[0];
+    const Row &fixed_fuzzy = rows[1];
+    const Row &rotating_fuzzy = rows[3];
+    verdict.require(rotating_fuzzy.wait * 20 < fixed_point.wait,
+                    "rotating+fuzzy idles %llu cycles, not below 5%% of "
+                    "fixed+point's %llu",
+                    static_cast<unsigned long long>(rotating_fuzzy.wait),
+                    static_cast<unsigned long long>(fixed_point.wait));
+    verdict.require(fixed_fuzzy.wait * 10 >= fixed_point.wait * 9,
+                    "fixed+fuzzy idles %llu cycles, below 90%% of "
+                    "fixed+point's %llu",
+                    static_cast<unsigned long long>(fixed_fuzzy.wait),
+                    static_cast<unsigned long long>(fixed_point.wait));
+    return verdict.exitCode();
 }

@@ -132,12 +132,11 @@ measure(Policy policy, bool fuzzy)
     sim::MachineConfig cfg;
     cfg.numProcessors = kProcs;
     cfg.memWords = 1 << 14;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(p,
                             assembleOrDie(streamSource(p, policy, fuzzy)));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E5 run failed\n");
         std::exit(1);
@@ -159,25 +158,41 @@ measure(Policy policy, bool fuzzy)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E5 (Fig. 12): run-time scheduling, 26 non-uniform "
                     "iterations on 4 processors, 8 outer rounds");
     table.setHeader({"policy", "barrier", "work spread", "stalled",
                      "idle cycles", "total cycles"});
 
+    Verdict verdict("E5");
+    int gss_spread = 0;
+    int other_spread = 1 << 30;
     for (Policy policy : {Policy::Block, Policy::Chunk, Policy::Gss}) {
-        for (bool fuzzy : {false, true}) {
-            auto row = measure(policy, fuzzy);
+        const Row point = measure(policy, false);
+        const Row fuzzy = measure(policy, true);
+        for (const auto &[barrier, row] :
+             {std::pair{"point", point}, std::pair{"fuzzy", fuzzy}}) {
             table.row()
                 .cell(policyName(policy))
-                .cell(fuzzy ? "fuzzy" : "point")
+                .cell(barrier)
                 .cell(static_cast<std::int64_t>(row.loadSpread))
                 .cell(row.stalled)
                 .cell(row.wait)
                 .cell(row.cycles);
         }
+        // The multi-version regions shave idle time off every policy.
+        verdict.require(fuzzy.wait < point.wait,
+                        "%s: fuzzy idles %llu cycles, not below point's "
+                        "%llu",
+                        policyName(policy),
+                        static_cast<unsigned long long>(fuzzy.wait),
+                        static_cast<unsigned long long>(point.wait));
+        if (policy == Policy::Gss)
+            gss_spread = point.loadSpread;
+        else
+            other_spread = std::min(other_spread, point.loadSpread);
     }
     table.print(std::cout);
 
@@ -185,13 +200,10 @@ benchMain()
                "processors complete at about the same time, reducing "
                "idling at the inter-round barrier; the multi-version "
                "fuzzy regions absorb the residual imbalance");
-    return 0;
-}
 
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(10000, [&rc] { rc = benchMain(); });
-    return rc;
+    verdict.require(gss_spread < other_spread,
+                    "guided-self work spread %d is not the smallest "
+                    "(best other policy: %d)",
+                    gss_spread, other_spread);
+    return verdict.exitCode();
 }

@@ -103,12 +103,11 @@ measure(bool distributed)
     sim::MachineConfig cfg;
     cfg.numProcessors = kProcs;
     cfg.memWords = 1 << 14;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(
             p, assembleOrDie(streamSource(distributed, 555 + 97 * p)));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E6 run failed\n");
         std::exit(1);
@@ -118,8 +117,8 @@ measure(bool distributed)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     // Structural view via the transform library.
     std::vector<compiler::Statement> stmts(2);
@@ -130,12 +129,15 @@ benchMain()
     std::printf("statement executions eligible for the barrier region "
                 "(per processor, %d inner iterations):\n",
                 kItersPerProc);
+    const std::size_t eligible_fused =
+        compiler::regionExecutionsWithoutDistribution(stmts,
+                                                      kItersPerProc);
+    const std::size_t eligible_dist =
+        compiler::regionExecutionsWithDistribution(stmts, kItersPerProc);
     std::printf("  without distribution: %zu (Fig. 5(b))\n",
-                compiler::regionExecutionsWithoutDistribution(
-                    stmts, kItersPerProc));
+                eligible_fused);
     std::printf("  with distribution:    %zu (Fig. 5(c))\n",
-                compiler::regionExecutionsWithDistribution(
-                    stmts, kItersPerProc));
+                eligible_dist);
 
     fb::Table table("E6 (Fig. 5): loop distribution enlarges the "
                     "barrier region");
@@ -160,13 +162,24 @@ benchMain()
     printClaim("loop distribution turns the barrier region from a "
                "single execution of S2 into a loop containing all "
                "executions of S2, absorbing far more drift");
-    return 0;
-}
 
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(10000, [&rc] { rc = benchMain(); });
-    return rc;
+    // One S2 execution fits the fused region, all of them the
+    // distributed one, and the larger region stalls and runs less.
+    Verdict verdict("E6");
+    verdict.require(eligible_fused == 1 &&
+                        eligible_dist ==
+                            static_cast<std::size_t>(kItersPerProc),
+                    "region-eligible S2 executions are %zu vs %zu, "
+                    "expected 1 vs %d",
+                    eligible_fused, eligible_dist, kItersPerProc);
+    verdict.require(dist.stalled < fused.stalled,
+                    "distributed stalls %llu episodes, not below fused's "
+                    "%llu",
+                    static_cast<unsigned long long>(dist.stalled),
+                    static_cast<unsigned long long>(fused.stalled));
+    verdict.require(dist.cycles < fused.cycles,
+                    "distributed takes %llu cycles, not below fused's %llu",
+                    static_cast<unsigned long long>(dist.cycles),
+                    static_cast<unsigned long long>(fused.cycles));
+    return verdict.exitCode();
 }

@@ -39,13 +39,12 @@ perEpisodeCost(core::SimBarrierKind kind, int procs)
     // uses the single shared bus instead and shows what happens when
     // everything serializes.)
     cfg.busKind = sim::BusKind::Banked;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < procs; ++p)
         machine.loadProgram(
             p, core::buildBarrierLoop(kind, procs, p, kEpisodes, kWork,
                                       /*region_instrs=*/4));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E7 run failed for %s at P=%d\n",
                      core::simBarrierKindName(kind), procs);
@@ -59,70 +58,53 @@ perEpisodeCost(core::SimBarrierKind kind, int procs)
            static_cast<double>(kEpisodes);
 }
 
-/**
- * --ff-stress: a fast-forward showcase rather than a paper claim.
- * 64 processors run a hardware-fuzzy barrier loop through a
- * high-latency broadcast network (syncLatency 1024, section 6's
- * large-machine regime), so almost every cycle is spent with every
- * core stalled waiting for the propagation delay — exactly the
- * waiting the event-driven core skips. run_all.sh times this mode
- * with and without FB_NO_FAST_FORWARD to report the speedup.
- */
-int
-ffStress()
-{
-    constexpr int procs = 64;
-    constexpr int episodes = 200;
-    constexpr int work = 10;
-    sim::MachineConfig cfg;
-    cfg.numProcessors = procs;
-    cfg.memWords = 1 << 14;
-    cfg.maxCycles = 500'000'000;
-    cfg.syncLatency = 1024;
-    applyEnvOverrides(cfg);
-    sim::Machine machine(cfg);
-    for (int p = 0; p < procs; ++p)
-        machine.loadProgram(
-            p, core::buildBarrierLoop(core::SimBarrierKind::HardwareFuzzy,
-                                      procs, p, episodes, work,
-                                      /*region_instrs=*/4));
-    auto r = runTallied(machine);
-    if (r.deadlocked || r.timedOut) {
-        std::fprintf(stderr, "E7 --ff-stress run failed\n");
-        return 1;
-    }
-    std::printf("E7 ff-stress: procs=%d episodes=%d syncLatency=%u "
-                "cycles=%llu\n",
-                procs, episodes, cfg.syncLatency,
-                static_cast<unsigned long long>(r.cycles));
-    return 0;
-}
-
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E7 (section 1): per-episode barrier cost vs "
                     "processor count (cycles beyond work)");
     table.setHeader({"procs", "sw-centralized", "sw-dissemination",
                      "hw-point", "hw-fuzzy"});
 
+    Verdict verdict("E7");
+    double centralized32 = 0;
     for (int procs : {2, 4, 8, 16, 32, 64}) {
+        const double centralized =
+            perEpisodeCost(core::SimBarrierKind::Centralized, procs);
+        const double dissemination =
+            perEpisodeCost(core::SimBarrierKind::Dissemination, procs);
+        const double point =
+            perEpisodeCost(core::SimBarrierKind::HardwarePoint, procs);
+        const double fuzzy =
+            perEpisodeCost(core::SimBarrierKind::HardwareFuzzy, procs);
         table.row()
             .cell(static_cast<std::int64_t>(procs))
-            .cell(perEpisodeCost(core::SimBarrierKind::Centralized,
-                                 procs),
-                  1)
-            .cell(perEpisodeCost(core::SimBarrierKind::Dissemination,
-                                 procs),
-                  1)
-            .cell(perEpisodeCost(core::SimBarrierKind::HardwarePoint,
-                                 procs),
-                  1)
-            .cell(perEpisodeCost(core::SimBarrierKind::HardwareFuzzy,
-                                 procs),
-                  1);
+            .cell(centralized, 1)
+            .cell(dissemination, 1)
+            .cell(point, 1)
+            .cell(fuzzy, 1);
+
+        // The hardware mechanism stays single-digit at every P.
+        verdict.require(fuzzy < 10,
+                        "hw-fuzzy costs %.1f cycles/episode at P=%d, not "
+                        "below 10",
+                        fuzzy, procs);
+        if (procs == 32)
+            centralized32 = centralized;
+        if (procs == 64) {
+            // Linear: doubling P nearly doubles the counter's cost.
+            verdict.require(centralized >= 1.8 * centralized32,
+                            "centralized(64) = %.1f is not >= 1.8x "
+                            "centralized(32) = %.1f",
+                            centralized, centralized32);
+            // Logarithmic wins over linear at the top of the sweep.
+            verdict.require(dissemination < centralized,
+                            "dissemination(64) = %.1f is not below "
+                            "centralized(64) = %.1f",
+                            dissemination, centralized);
+        }
     }
     table.print(std::cout);
 
@@ -130,17 +112,5 @@ benchMain()
                "counter: serialized bus traffic) or logarithmically "
                "(dissemination) with processors; the hardware mechanism "
                "stays O(1) — near-zero extra cycles per episode");
-    return 0;
-}
-
-int
-main(int argc, char **argv)
-{
-    // --ff-stress is its own timed probe (run_all.sh runs it with
-    // and without FB_NO_FAST_FORWARD), so it stays a single run.
-    if (argc > 1 && std::string(argv[1]) == "--ff-stress")
-        return ffStress();
-    int rc = 1;
-    fb::bench::runSteadyState(500, [&rc] { rc = benchMain(); });
-    return rc;
+    return verdict.exitCode();
 }

@@ -37,13 +37,12 @@ measure(core::SimBarrierKind kind, int procs)
     cfg.numProcessors = procs;
     cfg.memWords = 1 << 14;
     cfg.maxCycles = 500'000'000;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < procs; ++p)
         machine.loadProgram(p, core::buildBarrierLoop(kind, procs, p,
                                                       kEpisodes, kWork,
                                                       4));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E8 run failed\n");
         std::exit(1);
@@ -52,54 +51,17 @@ measure(core::SimBarrierKind kind, int procs)
             r.busQueueDelay};
 }
 
-/**
- * --ff-stress: like E7's, a showcase for the event-driven core. The
- * hardware-fuzzy barrier performs no shared-memory traffic, so with
- * a slow broadcast network (syncLatency 2048) the bus sits idle and
- * every core waits out the propagation delay each episode — long
- * pure-wait stretches the fast-forward skips in one jump.
- */
-int
-ffStress()
-{
-    constexpr int procs = 64;
-    constexpr int episodes = 150;
-    constexpr int work = 10;
-    sim::MachineConfig cfg;
-    cfg.numProcessors = procs;
-    cfg.memWords = 1 << 14;
-    cfg.maxCycles = 500'000'000;
-    cfg.syncLatency = 2048;
-    applyEnvOverrides(cfg);
-    sim::Machine machine(cfg);
-    for (int p = 0; p < procs; ++p)
-        machine.loadProgram(
-            p, core::buildBarrierLoop(core::SimBarrierKind::HardwareFuzzy,
-                                      procs, p, episodes, work,
-                                      /*region_instrs=*/4));
-    auto r = runTallied(machine);
-    if (r.deadlocked || r.timedOut) {
-        std::fprintf(stderr, "E8 --ff-stress run failed\n");
-        return 1;
-    }
-    std::printf("E8 ff-stress: procs=%d episodes=%d syncLatency=%u "
-                "cycles=%llu memAccesses=%llu\n",
-                procs, episodes, cfg.syncLatency,
-                static_cast<unsigned long long>(r.cycles),
-                static_cast<unsigned long long>(r.memAccesses));
-    return 0;
-}
-
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E8 (sections 1/6): shared-memory traffic of "
                     "synchronization, 25 episodes");
     table.setHeader({"procs", "barrier", "mem accesses",
                      "hottest word", "bus requests", "bus queue delay"});
 
+    Verdict verdict("E8");
     for (int procs : {4, 8, 16, 32}) {
         for (auto kind : {core::SimBarrierKind::Centralized,
                           core::SimBarrierKind::Dissemination,
@@ -112,6 +74,28 @@ benchMain()
                 .cell(t.hotSpot)
                 .cell(t.busRequests)
                 .cell(t.busQueueDelay);
+
+            const auto p = static_cast<std::uint64_t>(procs);
+            if (kind == core::SimBarrierKind::HardwareFuzzy) {
+                // No synchronization traffic: the only accesses are
+                // the P result stores, one per word.
+                verdict.require(t.memAccesses == p && t.hotSpot == p,
+                                "hw-fuzzy at P=%d: %llu mem accesses, "
+                                "hottest word %llu, expected %d and %d",
+                                procs,
+                                static_cast<unsigned long long>(
+                                    t.memAccesses),
+                                static_cast<unsigned long long>(t.hotSpot),
+                                procs, procs);
+            } else if (kind == core::SimBarrierKind::Dissemination) {
+                // Single-writer flags: the hottest word stays at a
+                // few accesses per episode whatever P is.
+                verdict.require(t.hotSpot <= 160,
+                                "sw-dissemination at P=%d: hottest word "
+                                "%llu, above 160",
+                                procs,
+                                static_cast<unsigned long long>(t.hotSpot));
+            }
         }
     }
     table.print(std::cout);
@@ -121,17 +105,5 @@ benchMain()
                "the bus; dissemination spreads them; the hardware fuzzy "
                "barrier needs no shared-memory traffic (its only "
                "accesses are the programs' own result stores)");
-    return 0;
-}
-
-int
-main(int argc, char **argv)
-{
-    // --ff-stress is its own timed probe (run_all.sh runs it with
-    // and without FB_NO_FAST_FORWARD), so it stays a single run.
-    if (argc > 1 && std::string(argv[1]) == "--ff-stress")
-        return ffStress();
-    int rc = 1;
-    fb::bench::runSteadyState(500, [&rc] { rc = benchMain(); });
-    return rc;
+    return verdict.exitCode();
 }

@@ -40,14 +40,13 @@ measure(int region, double jitter)
     cfg.jitterMean = jitter;
     cfg.seed = 4242;
     cfg.maxCycles = 500'000'000;
-    applyEnvOverrides(cfg);
     sim::Machine machine(cfg);
     for (int p = 0; p < kProcs; ++p)
         machine.loadProgram(
             p, core::buildBarrierLoop(core::SimBarrierKind::HardwareFuzzy,
                                       kProcs, p, kEpisodes, kWork,
                                       region));
-    auto r = runTallied(machine);
+    auto r = machine.run();
     if (r.deadlocked || r.timedOut) {
         std::fprintf(stderr, "E9 run failed\n");
         std::exit(1);
@@ -62,8 +61,8 @@ measure(int region, double jitter)
 
 } // namespace
 
-static int
-benchMain()
+int
+main()
 {
     fb::Table table("E9 (section 2): stall likelihood vs barrier region "
                     "size under execution drift (4 procs, 60-instr "
@@ -71,29 +70,42 @@ benchMain()
     table.setHeader({"region instrs", "jitter 0.5", "jitter 1.0",
                      "jitter 2.0", "wait/episode @2.0"});
 
+    constexpr double kJitters[] = {0.5, 1.0, 2.0};
+    Verdict verdict("E9");
+    double first[3] = {};
+    double previous[3] = {};
     for (int region : {0, 4, 8, 16, 32, 64, 128}) {
-        auto low = measure(region, 0.5);
-        auto mid = measure(region, 1.0);
-        auto high = measure(region, 2.0);
-        table.row()
-            .cell(static_cast<std::int64_t>(region))
-            .cell(low.stallFraction, 3)
-            .cell(mid.stallFraction, 3)
-            .cell(high.stallFraction, 3)
-            .cell(high.waitPerEpisode, 1);
+        table.row().cell(static_cast<std::int64_t>(region));
+        double wait_at_high_jitter = 0;
+        for (int j = 0; j < 3; ++j) {
+            const Row row = measure(region, kJitters[j]);
+            table.cell(row.stallFraction, 3);
+            // The larger the region, the less likely a stall: never
+            // more stalls than with the next smaller region.
+            if (region == 0)
+                first[j] = row.stallFraction;
+            else
+                verdict.require(row.stallFraction <= previous[j],
+                                "jitter %.1f: stall fraction rises to "
+                                "%.3f at region %d (from %.3f)",
+                                kJitters[j], row.stallFraction, region,
+                                previous[j]);
+            previous[j] = row.stallFraction;
+            wait_at_high_jitter = row.waitPerEpisode;
+        }
+        table.cell(wait_at_high_jitter, 1);
     }
     table.print(std::cout);
 
     printClaim("stall probability falls monotonically as the barrier "
                "region grows, for every drift intensity; a region a few "
                "times larger than the typical drift eliminates stalls");
-    return 0;
-}
 
-int
-main()
-{
-    int rc = 1;
-    fb::bench::runSteadyState(300, [&rc] { rc = benchMain(); });
-    return rc;
+    // The largest region all but eliminates the point barrier's stalls.
+    for (int j = 0; j < 3; ++j)
+        verdict.require(previous[j] * 10 < first[j],
+                        "jitter %.1f: stall fraction %.3f at region 128 is "
+                        "not below a tenth of region 0's %.3f",
+                        kJitters[j], previous[j], first[j]);
+    return verdict.exitCode();
 }

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "barrier/topology.hh"
+#include "core/barrierprogs.hh"
 #include "exec/machine_pool.hh"
 #include "exec/program_cache.hh"
 #include "fault/plan.hh"
@@ -205,6 +206,52 @@ TEST(Equivalence, SkipAfterRecoveryMatchesReference)
         checkAgainstReference(sc, programs, k,
                               describeSeed(seed, true, k), nullptr,
                               /*machine_seed=*/1);
+    }
+}
+
+TEST(Equivalence, FastEngineSkipsBroadcastWaits)
+{
+    // 64 processors in a hardware fuzzy-barrier loop behind a slow
+    // broadcast network (section 6's large-machine regime): almost
+    // every cycle is spent with every core stalled on the propagation
+    // delay. The fast engine must jump those waits rather than step
+    // them, in few run-loop iterations, and land on the reference's
+    // exact results.
+    constexpr int kProcs = 64;
+    struct Stress
+    {
+        std::uint32_t syncLatency;
+        int episodes;
+    };
+    for (const Stress &stress : {Stress{1024, 200}, Stress{2048, 150}}) {
+        const std::string ctx =
+            "syncLatency " + std::to_string(stress.syncLatency);
+        std::vector<isa::Program> programs;
+        for (int p = 0; p < kProcs; ++p)
+            programs.push_back(core::buildBarrierLoop(
+                core::SimBarrierKind::HardwareFuzzy, kProcs, p,
+                stress.episodes, /*work_instrs=*/10, /*region_instrs=*/4));
+        sim::MachineConfig cfg;
+        cfg.numProcessors = kProcs;
+        cfg.memWords = 1 << 14;
+        cfg.maxCycles = 500'000'000;
+        cfg.syncLatency = stress.syncLatency;
+        sim::Machine fast_machine(cfg);
+        const Observation fast = observeRun(kProcs, programs, fast_machine);
+        cfg.fastForward = false;
+        sim::Machine ref_machine(cfg);
+        const Observation ref = observeRun(kProcs, programs, ref_machine);
+        expectIdentical(fast, ref, ctx);
+
+        const std::uint64_t cycles = fast.result.cycles;
+        const sim::EngineStats &engine = fast.result.engine;
+        EXPECT_FALSE(fast.result.deadlocked || fast.result.timedOut) << ctx;
+        EXPECT_GE(engine.skippedCycles * 100, cycles * 99)
+            << ctx << ": skipped " << engine.skippedCycles << " of "
+            << cycles << " cycles";
+        EXPECT_LE(engine.iterations * 100, cycles)
+            << ctx << ": " << engine.iterations << " iterations for "
+            << cycles << " cycles";
     }
 }
 

@@ -3,7 +3,9 @@
  * 1024-processor tests: machine-wide fuzzy-barrier loops on the flat,
  * tree and cluster networks (fast engine, inline and over 2 and 4
  * shard threads, against the per-cycle reference), a kill recovered
- * by the watchdog, and a diagnosed deadlock. At this width a
+ * by the watchdog, a diagnosed deadlock, the hierarchies' sync-cost
+ * advantage over a size-scaled flat broadcast, and an engine whose
+ * work depends on the active processors only. At this width a
  * per-episode cost that grows with the square of the group size costs
  * seconds, so every test here carries a CTest timeout
  * (tests/CMakeLists.txt) and such a cost fails loudly.
@@ -11,11 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "barrier/topology.hh"
+#include "core/barrierprogs.hh"
 #include "fault/plan.hh"
 #include "harness.hh"
 #include "isa/assembler.hh"
@@ -90,8 +94,8 @@ wideConfig(const std::string &shape)
     cfg.seed = 11;
     cfg.jitterMean = 0.25;
     EXPECT_TRUE(barrier::Topology::parse(shape, cfg.topology)) << shape;
-    // As in the e22 scaling sweep: the flat broadcast pays a latency
-    // that grows with the machine, the hierarchies pay per level.
+    // The flat broadcast pays a latency that grows with the machine,
+    // the hierarchies pay per level (see WideTopology below).
     cfg.syncLatency = cfg.topology.flat() ? 64 : 1;
     return cfg;
 }
@@ -287,6 +291,105 @@ TEST(Wide1024, AnalyzeDeadlockOnMachineWideBarrier)
         EXPECT_EQ(rep.stuck.front().proc, 0);
         EXPECT_EQ(rep.stuck.back().proc, kProcs - 2);
     }
+}
+
+/** @p procs processors: the first @p active run @p episodes of a
+ * hardware fuzzy-barrier loop among themselves, the rest halt. */
+std::vector<isa::Program>
+barrierLoops(int procs, int active, int episodes, int work, int region)
+{
+    std::vector<isa::Program> progs;
+    for (int p = 0; p < active; ++p)
+        progs.push_back(core::buildBarrierLoop(
+            core::SimBarrierKind::HardwareFuzzy, active, p, episodes, work,
+            region));
+    isa::Program halt;
+    std::string err;
+    EXPECT_TRUE(isa::Assembler::assemble("halt\n", halt, err)) << err;
+    progs.resize(static_cast<std::size_t>(procs), halt);
+    return progs;
+}
+
+TEST(WideTopology, HierarchiesBeatSizeScaledFlatLatency)
+{
+    // Section 6 scaled up: a flat broadcast's delay grows with the
+    // machine (n/16 cycles here), while tree and cluster networks pay
+    // one cycle per level they span. From 256 processors up both
+    // hierarchies finish an all-processor loop sooner, and the shape
+    // moves delivery cycles, never results.
+    for (int n : {256, 1024}) {
+        const auto progs = barrierLoops(n, n, 4, 16, 4);
+        std::uint64_t flat_cycles = 0;
+        std::string flat_results;
+        for (const char *shape : {"flat", "tree:4", "cluster:16"}) {
+            const std::string ctx =
+                "n=" + std::to_string(n) + " " + shape;
+            MachineConfig cfg;
+            cfg.numProcessors = n;
+            cfg.memWords = 4096;
+            cfg.maxCycles = 2'000'000;
+            ASSERT_TRUE(barrier::Topology::parse(shape, cfg.topology));
+            cfg.syncLatency =
+                cfg.topology.flat() ? static_cast<std::uint32_t>(n / 16)
+                                    : 1;
+            Machine m(cfg);
+            for (int p = 0; p < n; ++p)
+                m.loadProgram(p, progs[static_cast<std::size_t>(p)]);
+            const RunResult r = m.run();
+            ASSERT_FALSE(r.deadlocked || r.timedOut) << ctx;
+
+            std::ostringstream results;
+            for (int p = 0; p < n; ++p) {
+                results << r.perProcessor[static_cast<std::size_t>(p)]
+                               .barrierEpisodes;
+                for (int i = 0; i < isa::numRegisters; ++i)
+                    results << " " << m.processor(p).reg(i);
+                results << "\n";
+            }
+            if (cfg.topology.flat()) {
+                flat_cycles = r.cycles;
+                flat_results = results.str();
+                continue;
+            }
+            EXPECT_TRUE(results.str() == flat_results)
+                << ctx << ": episodes or registers differ from flat";
+            EXPECT_LT(r.cycles, flat_cycles) << ctx;
+        }
+    }
+}
+
+TEST(WideTopology, EngineWorkScalesWithActiveProcessors)
+{
+    // 16 participants in machines of 16 and 1024 processors, the rest
+    // halted: the fast engine does the same work in both, bar the one
+    // tick each halted processor takes to halt and its retirement.
+    constexpr int kActive = 16;
+    auto engineWork = [](int procs) {
+        MachineConfig cfg;
+        cfg.numProcessors = procs;
+        cfg.memWords = 4096;
+        cfg.maxCycles = 2'000'000;
+        cfg.syncLatency = 1;
+        Machine m(cfg);
+        const auto progs = barrierLoops(procs, kActive, 300, 200, 8);
+        for (int p = 0; p < procs; ++p)
+            m.loadProgram(p, progs[static_cast<std::size_t>(p)]);
+        const RunResult r = m.run();
+        EXPECT_FALSE(r.deadlocked || r.timedOut) << procs;
+        return r.engine;
+    };
+    const EngineStats small = engineWork(kActive);
+    const EngineStats wide = engineWork(kProcs);
+    EXPECT_EQ(wide.iterations, small.iterations);
+    EXPECT_EQ(wide.windows, small.windows);
+    EXPECT_EQ(wide.windowCandidates, small.windowCandidates);
+    EXPECT_EQ(wide.skippedCycles, small.skippedCycles);
+    const std::uint64_t tick_gap =
+        std::max(wide.coordinatorTicks, small.coordinatorTicks) -
+        std::min(wide.coordinatorTicks, small.coordinatorTicks);
+    EXPECT_LE(tick_gap, 2u * (kProcs - kActive))
+        << small.coordinatorTicks << " ticks at " << kActive << ", "
+        << wide.coordinatorTicks << " at " << kProcs;
 }
 
 } // namespace
